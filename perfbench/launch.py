@@ -115,12 +115,13 @@ def main() -> int:
     if sep != "--":
         print("usage: launch.py STAMP TRACE -- ENTOT-ARGUMENTS...", file=sys.stderr)
         return 2
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # not normalized, so that its length follows the padded work directory
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     sys.path.insert(0, src)
     import entot
     import entot.cli
 
-    if not os.path.abspath(entot.__file__).startswith(src + os.sep):
+    if not os.path.abspath(entot.__file__).startswith(os.path.abspath(src) + os.sep):
         print(f"entot imported from {entot.__file__}, not from {src}", file=sys.stderr)
         return 2
     tracer = None

@@ -1,6 +1,6 @@
 """Benchmark of the entot command line, end to end and layer by layer.
 
-    python3 perfbench/run.py --workload sweep-log --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload sweep-log --seed 1 --seconds 35 --trace 0
 
 A run generates its inputs from the seed, runs one untimed warm-up round,
 then repeats whole rounds of the workload's CLI jobs, one process at a
@@ -53,6 +53,10 @@ os.environ["NUMPY_MADVISE_HUGEPAGE"] = "0"
 # an installed entot has its bytecode compiled; let the warm-up round cache it
 os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
 
+#: the jobs' environment: this one, less the shell's record of the
+#: directory the benchmark was started from (see run_job)
+JOB_ENV = {name: value for name, value in os.environ.items() if name not in ("PWD", "OLDPWD")}
+
 import numpy as np  # noqa: E402  (after the thread limits, which BLAS reads on load)
 
 import checks  # noqa: E402
@@ -86,10 +90,18 @@ def run_job(argv: Sequence[str], work: Path, trace: bool) -> Job:
     trace_file = work / "trace.json"
     for path in (stamp, trace_file):
         path.unlink(missing_ok=True)
-    cmd = [sys.executable, str(LAUNCH), str(stamp), str(trace_file) if trace else "-", "--", *argv]
+    # Every path the job sees has the same length whatever the checkout's
+    # location and the run's pid: the paths on its command line are relative
+    # to ``work``, whose own path is padded (see work_dir), -P keeps the
+    # script's directory out of sys.path, and JOB_ENV has no PWD. The
+    # lengths of these strings alone moved the peak RSS of the same
+    # gamma-limit-fine job between 61.1 and 65.3 MiB, as they shift where
+    # the job's large arrays land in the heap.
+    launch = os.path.relpath(LAUNCH, work)
+    cmd = [sys.executable, "-P", launch, stamp.name, trace_file.name if trace else "-", "--", *argv]
     with open(work / "stderr.txt", "w") as err:
         t0 = time.monotonic()
-        proc = subprocess.Popen(cmd, cwd=work, stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen(cmd, cwd=work, env=JOB_ENV, stdout=subprocess.DEVNULL, stderr=err)
         timer = threading.Timer(JOB_TIMEOUT_S, proc.kill)
         timer.start()
         try:
@@ -225,6 +237,8 @@ WORKLOADS = {
     "sweep-log": Sweep(256, (0.1, 0.05, 0.02, 0.01), "log"),
     "sweep-direct": Sweep(2048, (0.5, 0.2, 0.1, 0.05), "direct"),
     "gamma-limit-fine": GammaLimit(640000),
+    # run by hand only: with 22 runs of 35 s per workload, a fourth workload
+    # would not fit in an hour, so BENCHMARK.json lists the other three
     "plan-roundtrip": PlanRoundtrip(512),
 }
 
@@ -261,6 +275,20 @@ def run_round(workload: Workload, work: Path, trace: bool) -> Round:
     for line in failures:
         sys.stderr.write(f"check failed: {line}\n")
     return Round(jobs, failures, len(planned))
+
+
+#: length of the absolute path of a run's work directory, where every job runs
+WORK_PATH_LEN = 200
+
+
+def work_dir(workload: str) -> Path:
+    """A fresh directory for one run, its path padded to ``WORK_PATH_LEN`` characters."""
+    base = HERE / "work"
+    base.mkdir(exist_ok=True)
+    name = f"{workload}-{os.getpid()}-"
+    work = base / (name + "x" * max(0, WORK_PATH_LEN - len(str(base / name))))
+    work.mkdir()
+    return work
 
 
 END_TO_END_UNITS = {"wall_s": "s", "cpu_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
@@ -340,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "entot" / "cli.py").is_file():
@@ -355,9 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # on SIGTERM, unwind through the finally blocks that stop the running job
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     workload = WORKLOADS[args.workload]
-    (HERE / "work").mkdir(exist_ok=True)
-    work = HERE / "work" / f"{args.workload}-{os.getpid()}"
-    work.mkdir()
+    work = work_dir(args.workload)
     try:
         workload.prepare(work, args.seed)
         run_round(workload, work, trace=False)  # warm-up: caches, bytecode, page cache
