@@ -399,9 +399,9 @@ def emit_files(outputs: Dict[str, str]) -> None:
                 fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entot-", suffix=".tmp")
             except OSError as exc:
                 raise CliError(EXIT_WRITE, f"cannot write to {path}: {exc}")
+            staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            staged.append((tmp, path))
         while staged:
             tmp, path = staged[0]
             os.replace(tmp, path)
@@ -582,6 +582,18 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
         plan = measures.read_product_csv(o["plan"])
     except FileNotFoundError:
         raise CliError(EXIT_MISSING_FILE, f"plan file not found: {o['plan']}")
+    except ValueError as exc:
+        raise CliError(EXIT_PARAM, str(exc))
+    for key, grid, m in (("mu", plan.grid1, mu), ("nu", plan.grid2, nu)):
+        # the grids are rebuilt from printed centers, so match them to a fraction of a cell
+        if grid.n != m.grid.n or not np.allclose(
+            grid.centers, m.grid.centers, rtol=0, atol=1e-6 * m.grid.h
+        ):
+            raise CliError(
+                EXIT_PARAM,
+                f"plan grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) does not match "
+                f"--{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
+            )
     cost = _build_cost(o["cost"], plan.grid1, plan.grid2)
     m1, m2 = measures.marginals(plan)
     r1 = float(np.abs(m1.density - mu.density).sum() * mu.grid.h)

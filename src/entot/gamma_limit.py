@@ -17,20 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .measures import AtomicMeasure, Grid1D, GridMeasure
 from .orlicz import PHI_LOG, luxemburg_norm, neg_entropy
-from .solver import (
-    COST_RULES,
-    ParameterError,
-    SolverError,
-    _core_direct,
-    _core_log,
-)
+from . import solver
+from .solver import COST_RULES, ParameterError, SolverError
 
 __all__ = [
     "Mollifier",
@@ -327,39 +322,30 @@ def _sweep_one(
         ys = grid.centers[t]
         c_st = fn(xs[:, None], ys[None, :])
         h = grid.h
-        if mode == "direct":
-            core = _core_direct(
-                mu_d.density[s], nu_d.density[t], np.exp(-c_st / gamma), h, h, tol, max_iter
+        # solved on the supports only: fine extended grids are far too large
+        # to tabulate a cost on their product
+        sol = solver._solve_support(
+            mu_d.density[s], nu_d.density[t], c_st, gamma, h, h, tol, max_iter, mode
+        )
+        report = sol.report
+        status = "ok"
+        if not report.converged:
+            status = (
+                f"failed: no convergence in {max_iter} iterations "
+                f"(residual {report.residual_history[-1]:.3e})"
             )
-        else:
-            core = _core_log(
-                mu_d.density[s], nu_d.density[t], -c_st / gamma, h, h, tol, max_iter
-            )
-        logpi = core.log_a[:, None] + (-c_st / gamma) + core.log_b[None, :]
-        pi = np.exp(logpi)
-        w = h * h
-        cost_part = float(np.sum(c_st * pi) * w)
-        pos = pi > 0
-        entropy = float(np.sum(pi[pos] * (logpi[pos] - 1.0)) * w)
-        point = SweepPoint(
+        return SweepPoint(
             gamma=gamma,
             delta=delta,
-            regularized_value=cost_part,
+            regularized_value=sol.cost,
             unregularized_reference=reference,
             entropy_of_smoothed_marginals=ent,
             llogl_norms=norms,
-            primal_value=cost_part + gamma * entropy,
-            entropy_term=gamma * entropy,
-            iterations=core.iterations,
-            status="ok",
+            primal_value=report.primal_value,
+            entropy_term=report.primal_value - sol.cost,
+            iterations=report.iterations,
+            status=status,
         )
-        if not core.converged:
-            point = replace(
-                point,
-                status=f"failed: no convergence in {max_iter} iterations "
-                f"(residual {core.residuals[-1]:.3e})",
-            )
-        return point
     except (SolverError, ValueError) as exc:
         return SweepPoint(
             gamma=gamma,

@@ -294,6 +294,12 @@ def _grid_from_centers(x: np.ndarray, what: str) -> Grid1D:
     return Grid1D(float(x[0] - h / 2), float(x[-1] + h / 2), x.size)
 
 
+def _bad_row(path, reader, exc: Exception) -> ValueError:
+    """The error for the data row a CSV reader stopped on, naming file and line."""
+    what = "too few values" if isinstance(exc, IndexError) else str(exc)
+    return ValueError(f"{path}: line {reader.line_num}: {what}")
+
+
 def write_measure_csv(path, m: GridMeasure) -> None:
     """Write a measure as CSV with header ``x,density``, one row per cell."""
     with open(path, "w", newline="") as fh:
@@ -313,7 +319,10 @@ def read_measure_csv(path) -> GridMeasure:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["x", "density"]:
             raise ValueError(f"{path}: expected header 'x,density'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        try:
+            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        except (IndexError, ValueError) as exc:
+            raise _bad_row(path, reader, exc) from None
     x = np.array([r[0] for r in rows])
     dens = np.array([r[1] for r in rows])
     grid = _grid_from_centers(x, str(path))
@@ -339,7 +348,10 @@ def read_product_csv(path) -> ProductDensity:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:3]] != ["x", "y", "density"]:
             raise ValueError(f"{path}: expected header 'x,y,density'")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
+        try:
+            rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
+        except (IndexError, ValueError) as exc:
+            raise _bad_row(path, reader, exc) from None
     if not rows:
         raise ValueError(f"{path}: no rows")
     xs_all = np.array([r[0] for r in rows])

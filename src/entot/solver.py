@@ -16,11 +16,22 @@ and equals the primal value at the joint optimum. Cells where a marginal
 vanishes carry scaling value 0 for the whole run, which reproduces the
 product support structure of the optimal plan exactly.
 
-Both a direct-arithmetic loop (:func:`solve`) and a log-domain loop
-(:func:`solve_logdomain`) are provided; they honor the same contract and
-agree to near machine precision whenever the direct loop does not over-
-or underflow. The log-domain loop is the default everywhere else in the
+One scaling loop serves :func:`solve`, :func:`solve_logdomain` and the
+sweeps of :mod:`entot.gamma_limit`. It runs on the supports only and
+iterates log a and log b; the mode picks only how it reduces the rows and
+columns of the kernel block, by a matvec with K in direct arithmetic
+(:func:`solve`) or by a max-subtracted log-sum-exp of log K
+(:func:`solve_logdomain`). The two honor the same contract and agree to
+near machine precision whenever direct arithmetic does not over- or
+underflow. The log-domain reduction is the default everywhere else in the
 package.
+
+One pass over the support block then builds the plan. Since
+c + gamma log pi = gamma (log a + log b) there, the primal and dual values,
+their gap and both marginal residuals follow from the plan's row and
+column sums. :func:`primal_value`, :func:`dual_value` and
+:func:`optimality_residual` compute the same quantities from full-grid
+plans and states, as independent references.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .measures import Grid1D, GridMeasure, ProductDensity
+from .measures import MASS_TOL, Grid1D, GridMeasure, ProductDensity
 
 __all__ = [
     "CostField",
@@ -287,163 +298,167 @@ def sinkhorn_step_b(K: GibbsKernel, a: np.ndarray, nu: GridMeasure) -> np.ndarra
 
 def _check_probability(m: GridMeasure, name: str) -> None:
     mass = m.mass
-    if abs(mass - 1.0) > 1e-10 * max(1.0, abs(mass)):
+    if abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass)):
         raise ParameterError(f"{name} must be a probability measure, has mass {mass!r}")
 
 
-class _CoreResult(NamedTuple):
-    log_a: np.ndarray  # on support cells only
-    log_b: np.ndarray
-    residuals: list
-    converged: bool
-    iterations: int
+class _SupportSolve(NamedTuple):
+    log_a: np.ndarray  # gauge-normalized, on supp mu only
+    log_b: np.ndarray  # on supp nu only
+    plan: np.ndarray  # the plan block on supp mu x supp nu
+    cost: float  # transport-cost part sum_ij c_ij pi_ij h1 h2
+    report: SolveReport
 
 
-def _core_direct(
+def _denominators(log_d: np.ndarray, it: int, side: str) -> np.ndarray:
+    """Pass finite log denominators through.
+
+    -inf means a denominator vanished; +inf or NaN means direct arithmetic
+    overflowed, which the max-subtracted log-sum-exp cannot do.
+    """
+    if not np.all(np.isfinite(log_d)):
+        if np.any(log_d == -np.inf):
+            raise DivergedScalingError(it, side)
+        raise DirectOverflowError(it)
+    return log_d
+
+
+def _solve_support(
     mu_s: np.ndarray,
     nu_t: np.ndarray,
-    K_st: np.ndarray,
+    c_st: np.ndarray,
+    gamma: float,
     h1: float,
     h2: float,
     tol: float,
     max_iter: int,
-) -> _CoreResult:
-    """Direct-arithmetic scaling loop on support-restricted data."""
-    b = np.ones_like(nu_t)
-    residuals: list = []
-    converged = False
-    it = 0
-    a = np.zeros_like(mu_s)
-    while it < max_iter:
-        it += 1
-        denom = K_st @ b * h2
-        if np.any(denom == 0):
-            raise DivergedScalingError(it, "a")
-        with np.errstate(over="ignore"):
-            a = mu_s / denom
-        if not np.all(np.isfinite(a)):
-            raise DirectOverflowError(it)
-        s = K_st.T @ a * h1
-        colmarg = b * s
-        r = float(np.abs(colmarg - nu_t).sum() * h2)
-        residuals.append(r)
-        if r <= tol:
-            converged = True
-            break
-        if np.any(s == 0):
-            raise DivergedScalingError(it, "b")
-        b = nu_t / s
-        if not np.all(np.isfinite(b)):
-            raise DirectOverflowError(it)
-    with np.errstate(divide="ignore"):
-        return _CoreResult(np.log(a), np.log(b), residuals, converged, it)
+    mode: str,
+) -> _SupportSolve:
+    """Scale on supp mu x supp nu, then read plan and report off one pass.
 
+    The loop iterates log a and log b. ``mode`` picks only how it reduces
+    the rows and columns of the kernel block: a matvec with exp(-c/gamma)
+    in ``"direct"`` mode, a max-subtracted log-sum-exp of -c/gamma in
+    ``"log"`` mode. Only direct arithmetic can over- or underflow, so only
+    it can leave a non-finite log denominator. Non-convergence is recorded
+    in the report, not raised.
+    """
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
+    if mode == "direct":
+        K = np.exp(c_st / -gamma)
 
-def _core_log(
-    mu_s: np.ndarray,
-    nu_t: np.ndarray,
-    logK_st: np.ndarray,
-    h1: float,
-    h2: float,
-    tol: float,
-    max_iter: int,
-) -> _CoreResult:
-    """Log-domain scaling loop; immune to over- and underflow in the kernel."""
+        def rows_of(log_b):
+            return np.log(K @ np.exp(log_b) * h2)
+
+        def cols_of(log_a):
+            return np.log(K.T @ np.exp(log_a) * h1)
+
+    else:
+        log_K = c_st / -gamma
+        lh1, lh2 = np.log(h1), np.log(h2)
+
+        def rows_of(log_b):
+            return _logsumexp(log_K + log_b[None, :] + lh2, axis=1)
+
+        def cols_of(log_a):
+            return _logsumexp(log_K + log_a[:, None] + lh1, axis=0)
+
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
-    lh1 = np.log(h1)
-    lh2 = np.log(h2)
     log_b = np.zeros_like(nu_t)
     residuals: list = []
     converged = False
-    it = 0
-    log_a = np.full_like(mu_s, -np.inf)
-    while it < max_iter:
-        it += 1
-        log_a = log_mu - _logsumexp(logK_st + log_b[None, :] + lh2, axis=1)
-        s = _logsumexp(logK_st + log_a[:, None] + lh1, axis=0)
-        colmarg = np.exp(log_b + s)
-        r = float(np.abs(colmarg - nu_t).sum() * h2)
-        residuals.append(r)
-        if r <= tol:
-            converged = True
-            break
-        log_b = log_nu - s
-    return _CoreResult(log_a, log_b, residuals, converged, it)
-
-
-def _assemble(
-    mu: GridMeasure,
-    nu: GridMeasure,
-    c: CostField,
-    K: GibbsKernel,
-    core: _CoreResult,
-    mode: str,
-    tol: float,
-) -> SolveResult:
-    """Embed support-restricted scaling vectors, normalize the gauge, and report."""
-    smask = mu.density > 0
-    tmask = nu.density > 0
-    h1 = mu.grid.h
-    h2 = nu.grid.h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            log_a = log_mu - _denominators(rows_of(log_b), it, "a")
+            s = _denominators(cols_of(log_a), it, "b")
+            residuals.append(float(np.abs(np.exp(log_b + s) - nu_t).sum() * h2))
+            if residuals[-1] <= tol:
+                converged = True
+                break
+            log_b = log_nu - s
 
     # gauge: divide a by its integral so that sum_i a_i h1 = 1
-    log_gauge = _logsumexp(core.log_a + np.log(h1), axis=0)
-    log_a_s = core.log_a - log_gauge
-    log_b_t = core.log_b + log_gauge
+    log_gauge = _logsumexp(log_a + np.log(h1), axis=0)
+    log_a = log_a - log_gauge
+    log_b = log_b + log_gauge
     with np.errstate(over="ignore"):
         gauge_constant = float(np.exp(log_gauge))
 
-    log_a = np.full(mu.grid.n, -np.inf)
-    log_b = np.full(nu.grid.n, -np.inf)
-    log_a[smask] = log_a_s
-    log_b[tmask] = log_b_t
-    with np.errstate(over="ignore"):
-        a = np.exp(log_a)
-        b = np.exp(log_b)
-    state = DualState(a, b, log_a, log_b)
-
-    plan_vals = np.zeros((mu.grid.n, nu.grid.n))
-    block = np.exp(
-        log_a_s[:, None] + K.log_values[np.ix_(smask, tmask)] + log_b_t[None, :]
-    )
-    plan_vals[np.ix_(smask, tmask)] = block
-    plan = ProductDensity(mu.grid, nu.grid, plan_vals)
-
-    potentials = potentials_from_state(state, K.gamma)
-    primal = primal_value(plan, c, K.gamma)
-    dual = dual_value(state, K, mu, nu)
-    r1, r2 = optimality_residual(state, K, mu, nu)
+    # the one pass over the block: log pi = log a + log K + log b, in place
+    plan = c_st / -gamma
+    plan += log_a[:, None]
+    plan += log_b[None, :]
+    np.exp(plan, out=plan)
+    rowmarg = plan.sum(axis=1) * h2
+    colmarg = plan.sum(axis=0) * h1
+    mass = float(rowmarg.sum() * h1)
+    # c + gamma log pi = gamma (log a + log b) on the block, so the primal
+    # sum (c pi + gamma pi (log pi - 1)) h1 h2 needs only the marginals
+    primal = gamma * (float(log_a @ rowmarg) * h1 + float(log_b @ colmarg) * h2 - mass)
+    dual = -gamma * (mass - float(log_a @ mu_s) * h1 - float(log_b @ nu_t) * h2)
+    r1 = float(np.abs(rowmarg - mu_s).sum() * h1)
+    r2 = float(np.abs(colmarg - nu_t).sum() * h2)
     report = SolveReport(
-        iterations=core.iterations,
-        residual_history=tuple(core.residuals),
+        iterations=len(residuals),
+        residual_history=tuple(residuals),
         primal_value=primal,
         dual_value=dual,
         gap=primal - dual,
         optimality_residual=(r1, r2),
         gauge_constant=gauge_constant,
-        converged=core.converged,
+        converged=converged,
         mode=mode,
     )
-    result = SolveResult(plan, state, potentials, report)
-    if not core.converged:
-        raise ConvergenceError(report)
-    return result
+    cost = float(np.vdot(c_st, plan)) * h1 * h2
+    return _SupportSolve(log_a, log_b, plan, cost, report)
 
 
-def _prepare(mu: GridMeasure, nu: GridMeasure, c: CostField, gamma: float, tol: float, max_iter: int):
+def _solve_grids(
+    mu: GridMeasure,
+    nu: GridMeasure,
+    c: CostField,
+    gamma: float,
+    tol: float,
+    max_iter: int,
+    mode: str,
+) -> SolveResult:
+    """Check the inputs, solve on the supports and embed the result in the grids."""
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
     if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
         raise ParameterError("marginals and cost table live on different grids")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    K = gibbs_kernel(c, gamma)
     smask = mu.density > 0
     tmask = nu.density > 0
-    return K, smask, tmask
+    block = np.ix_(smask, tmask)
+    sol = _solve_support(
+        mu.density[smask],
+        nu.density[tmask],
+        c.values[block],
+        gamma,
+        mu.grid.h,
+        nu.grid.h,
+        tol,
+        max_iter,
+        mode,
+    )
+    if not sol.report.converged:
+        raise ConvergenceError(sol.report)
+    log_a = np.full(mu.grid.n, -np.inf)
+    log_b = np.full(nu.grid.n, -np.inf)
+    log_a[smask] = sol.log_a
+    log_b[tmask] = sol.log_b
+    with np.errstate(over="ignore"):
+        state = DualState(np.exp(log_a), np.exp(log_b), log_a, log_b)
+    plan_vals = np.zeros((mu.grid.n, nu.grid.n))
+    plan_vals[block] = sol.plan
+    plan = ProductDensity(mu.grid, nu.grid, plan_vals)
+    return SolveResult(plan, state, potentials_from_state(state, float(gamma)), sol.report)
 
 
 def solve(
@@ -459,7 +474,7 @@ def solve(
     Parameters
     ----------
     mu, nu : GridMeasure
-        Probability marginals (mass 1 within 1e-10).
+        Probability marginals (mass 1 within ``MASS_TOL``).
     c : CostField
         Nonnegative cost table on the product of the marginals' grids.
     gamma : float
@@ -484,17 +499,7 @@ def solve(
         If scaling vectors leave the double range (small gamma); the
         log-domain variant handles those instances.
     """
-    K, smask, tmask = _prepare(mu, nu, c, gamma, tol, max_iter)
-    core = _core_direct(
-        mu.density[smask],
-        nu.density[tmask],
-        K.values[np.ix_(smask, tmask)],
-        mu.grid.h,
-        nu.grid.h,
-        tol,
-        max_iter,
-    )
-    return _assemble(mu, nu, c, K, core, "direct", tol)
+    return _solve_grids(mu, nu, c, gamma, tol, max_iter, "direct")
 
 
 def solve_logdomain(
@@ -512,17 +517,7 @@ def solve_logdomain(
     plan agrees with the direct mode to 1e-8 entrywise whenever the
     latter completes.
     """
-    K, smask, tmask = _prepare(mu, nu, c, gamma, tol, max_iter)
-    core = _core_log(
-        mu.density[smask],
-        nu.density[tmask],
-        K.log_values[np.ix_(smask, tmask)],
-        mu.grid.h,
-        nu.grid.h,
-        tol,
-        max_iter,
-    )
-    return _assemble(mu, nu, c, K, core, "log", tol)
+    return _solve_grids(mu, nu, c, gamma, tol, max_iter, "log")
 
 
 def primal_value(plan: TransportPlan, c: CostField, gamma: float) -> float:

@@ -1,10 +1,17 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from entot import cli
-from entot.measures import Grid1D, GridMeasure, write_measure_csv
+from entot.measures import (
+    Grid1D,
+    GridMeasure,
+    ProductDensity,
+    write_measure_csv,
+    write_product_csv,
+)
 
 
 @pytest.fixture
@@ -121,6 +128,30 @@ def test_outputs_all_or_none_on_write_failure(tmp_path, marginal_files):
     assert list(tmp_path.glob(".entot-*")) == []
 
 
+def test_no_temp_file_left_when_a_write_fails(tmp_path, marginal_files, monkeypatch):
+    mu, _ = marginal_files
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, mode):
+            self.fh = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    out = tmp_path / "e.json"
+    assert run(["entropy", "--input", mu, "--out", str(out), "--quiet"]) == 6
+    assert not out.exists()
+    assert list(tmp_path.glob(".entot-*")) == []
+
+
 def test_out_dir_prefixes_relative_paths(tmp_path, marginal_files, monkeypatch):
     mu, nu = marginal_files
     monkeypatch.chdir(tmp_path)
@@ -156,6 +187,36 @@ def test_solve_then_check_optimality_roundtrip(tmp_path, marginal_files):
     payload = json.loads(out.read_text())
     assert payload["within_tol"] is True
     assert max(payload["r1"], payload["r2"]) <= 1e-6
+
+
+def test_check_optimality_rejects_plan_on_other_grid(tmp_path, capsys):
+    g6 = Grid1D(0.0, 1.0, 6)
+    g8 = Grid1D(0.0, 1.0, 8)
+    mu = tmp_path / "mu.csv"
+    write_measure_csv(mu, GridMeasure(g6, np.ones(6)))
+    plan = tmp_path / "plan.csv"
+    write_product_csv(plan, ProductDensity(g8, g8, np.ones((8, 8))))
+    code = run(["check-optimality", "--mu", str(mu), "--nu", str(mu), "--gamma", "0.2",
+                "--plan", str(plan), "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "does not match --mu" in err
+    assert "Traceback" not in err
+
+
+def test_check_optimality_rejects_measure_file_as_plan(marginal_files, capsys):
+    mu, nu = marginal_files
+    code = run(["check-optimality", "--mu", mu, "--nu", nu, "--gamma", "0.2",
+                "--plan", mu, "--quiet"])
+    assert code == 3
+    assert "x,y,density" in capsys.readouterr().err
+
+
+def test_short_csv_row_is_parameter_error(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("x,density\n0.25,1.0\n0.75\n")
+    assert run(["entropy", "--input", str(short)]) == 3
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_sweep_gamma_csv(tmp_path, marginal_files):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from entot.measures import AtomicMeasure, Grid1D, GridMeasure
 from entot.orlicz import neg_entropy
-from entot.solver import ParameterError
+from entot.solver import ParameterError, cost_field, solve_logdomain
 from entot.gamma_limit import (
     ExtendedDomain,
     Mollifier,
@@ -236,6 +236,20 @@ def test_sweep_returns_points_in_schedule_order():
         )
         assert all(np.isfinite(v) for v in p.llogl_norms)
         assert all(np.isfinite(e) for e in p.entropy_of_smoothed_marginals)
+
+
+def test_sweep_point_matches_solve_on_smoothed_marginals():
+    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
+    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 128), 0.2)
+    point = gamma_sweep(mu, nu, "sqdist", [(0.1, 0.2)], ext)[0]
+    grid = ext.extended
+    c = cost_field(grid, grid, "sqdist")
+    res = solve_logdomain(smooth_marginal(mu, 0.2, ext), smooth_marginal(nu, 0.2, ext), c, 0.1)
+    assert point.iterations == res.report.iterations
+    assert point.primal_value == pytest.approx(res.report.primal_value, rel=1e-12)
+    cost_part = float(np.sum(c.values * res.plan.values) * grid.h * grid.h)
+    assert point.regularized_value == pytest.approx(cost_part, rel=1e-12)
 
 
 def test_sweep_entropies_match_neg_entropy_of_smoothed_marginals():

@@ -150,6 +150,17 @@ def test_product_csv_roundtrip_row_major(tmp_path):
     assert_allclose(back.values, vals, rtol=0, atol=0)
 
 
+def test_csv_readers_name_file_and_line_of_a_short_row(tmp_path):
+    m = tmp_path / "m.csv"
+    m.write_text("x,density\n0.25,1.0\n0.75\n")
+    with pytest.raises(ValueError, match=r"m\.csv: line 3: too few values"):
+        read_measure_csv(m)
+    p = tmp_path / "p.csv"
+    p.write_text("x,y,density\n0.25,0.25,1.0\n0.25,0.75\n")
+    with pytest.raises(ValueError, match=r"p\.csv: line 3: too few values"):
+        read_product_csv(p)
+
+
 def test_product_csv_rejects_scrambled_rows(tmp_path):
     g1 = Grid1D(0.0, 1.0, 2)
     g2 = Grid1D(0.0, 1.0, 2)

@@ -172,12 +172,32 @@ def test_residual_history_near_monotone():
     assert r[-1] <= 1e-10
 
 
+def holed_pair(n=32, seed=0):
+    """A smooth pair with zero-density cells on both sides."""
+    mu, nu, c = smooth_pair(n, seed)
+    d1 = mu.density.copy()
+    d2 = nu.density.copy()
+    d1[: n // 4] = 0.0
+    d2[n // 3 : n // 2] = 0.0
+    g = mu.grid
+    return GridMeasure(g, d1, renormalize=True), GridMeasure(g, d2, renormalize=True), c
+
+
 def test_primal_value_against_oracle():
-    mu, nu, c = smooth_pair(seed=3)
-    res = solve_logdomain(mu, nu, c, 0.7)
-    ref = oracles.primal_objective(res.plan.values, c.values, 0.7, mu.grid.h, nu.grid.h)
-    assert res.report.primal_value == pytest.approx(ref, rel=1e-12)
-    assert primal_value(res.plan, c, 0.7) == pytest.approx(ref, rel=1e-12)
+    for pair in (smooth_pair, holed_pair):
+        mu, nu, c = pair(seed=3)
+        K = gibbs_kernel(c, 0.7)
+        for run in (solve, solve_logdomain):
+            res = run(mu, nu, c, 0.7)
+            ref = oracles.primal_objective(res.plan.values, c.values, 0.7, mu.grid.h, nu.grid.h)
+            assert res.report.primal_value == pytest.approx(ref, rel=1e-12)
+            assert primal_value(res.plan, c, 0.7) == pytest.approx(ref, rel=1e-12)
+            assert res.report.dual_value == pytest.approx(
+                dual_value(res.state, K, mu, nu), abs=1e-13
+            )
+            assert res.report.optimality_residual == pytest.approx(
+                optimality_residual(res.state, K, mu, nu), abs=1e-13
+            )
 
 
 def test_gauge_rescaling_leaves_plan_and_dual_alone():
