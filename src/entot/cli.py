@@ -11,21 +11,33 @@ check-optimality recompute marginal residuals and objective of a stored plan
 
 A JSON config file (flat keys named after the long flags, underscores for
 dashes) may supply any option; explicit flags win and the origin of every
-value is recorded under "provenance" in JSON outputs. Outputs are written
-atomically (all files appear, or none). Exit codes: 0 success, 2 usage,
-3 invalid parameter, 4 missing input file, 5 computation failed or did
-not converge, 6 output write failure.
+value is recorded under "provenance" in JSON outputs. A config value must
+have the option's JSON type: a number for --gamma and --tol, an integer
+for --n, --max-iter and --threads, true or false for --quiet, a list of
+numbers or a string for --gammas, and a string otherwise. Booleans are not
+numbers. A string given for a numeric option is read as the flag's text,
+and null is accepted only for an option that is unset by default, such as
+solve's --plan. Any other value is an invalid parameter. Outputs are
+written atomically (all files appear, or none). Exit codes: 0 success,
+2 usage, 3 invalid parameter, 4 missing input file, 5 computation failed
+or did not converge, 6 output write failure.
+
+Each option is declared once, in ``_OPTIONS`` (type, choices, help and
+check), and each subcommand once, in ``_COMMANDS`` (help, handler and the
+defaults of the options it takes); the parser, the merge of flag, config
+value and default, and the checks are all built from these two tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,248 +69,13 @@ class ExperimentConfig:
     provenance: Dict[str, str]
 
 
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "solve": {
-        "mu": None,
-        "nu": None,
-        "cost": "sqdist",
-        "gamma": None,
-        "tol": 1e-9,
-        "max_iter": 100000,
-        "mode": "log",
-        "out": "report.json",
-        "plan": None,
-    },
-    "sweep-gamma": {
-        "mu": None,
-        "nu": None,
-        "cost": "sqdist",
-        "gammas": None,
-        "tol": 1e-9,
-        "max_iter": 100000,
-        "mode": "log",
-        "out": "sweep.csv",
-    },
-    "gamma-limit": {
-        "mu": None,
-        "nu": None,
-        "cost": "sqdist",
-        "schedule": None,
-        "n": 256,
-        "domain": "0:1",
-        "tol": 1e-9,
-        "max_iter": 100000,
-        "mode": "log",
-        "out": "sweep.csv",
-    },
-    "orlicz-norm": {"young": "log", "input": None, "tol": 1e-10, "out": None},
-    "entropy": {"input": None, "out": None},
-    "check-optimality": {
-        "mu": None,
-        "nu": None,
-        "cost": "sqdist",
-        "gamma": None,
-        "plan": None,
-        "tol": 1e-6,
-        "out": None,
-    },
-}
-
-_GLOBAL_DEFAULTS = {"out_dir": None, "quiet": False, "threads": 1}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file supplying any option; flags win")
-    common.add_argument("--out-dir", dest="out_dir", help="directory prefixed to relative output paths")
-    common.add_argument("--quiet", action="store_const", const=True, default=None, help="suppress progress output")
-    common.add_argument("--threads", type=int, help="worker threads for sweeps (default 1, bitwise reproducible)")
-
-    p = argparse.ArgumentParser(prog="entot", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", parents=[common], help="entropic transport between two measures")
-    ps.add_argument("--mu", help="first marginal CSV (x,density)")
-    ps.add_argument("--nu", help="second marginal CSV")
-    ps.add_argument("--cost", help="sqdist | abs | file:cost.csv")
-    ps.add_argument("--gamma", type=float, help="regularization weight, positive")
-    ps.add_argument("--tol", type=float, help="marginal residual tolerance")
-    ps.add_argument("--max-iter", dest="max_iter", type=int)
-    ps.add_argument("--mode", choices=["log", "direct"])
-    ps.add_argument("--out", help="report JSON path")
-    ps.add_argument("--plan", help="optional plan CSV path")
-
-    pg = sub.add_parser("sweep-gamma", parents=[common], help="solve over a list of gammas")
-    pg.add_argument("--mu")
-    pg.add_argument("--nu")
-    pg.add_argument("--cost")
-    pg.add_argument("--gammas", help="comma-separated gamma values")
-    pg.add_argument("--tol", type=float)
-    pg.add_argument("--max-iter", dest="max_iter", type=int)
-    pg.add_argument("--mode", choices=["log", "direct"])
-    pg.add_argument("--out")
-
-    pl = sub.add_parser("gamma-limit", parents=[common], help="smoothed-marginal (gamma, delta) sweep")
-    pl.add_argument("--mu", help="atoms:loc:mass,loc:mass,...")
-    pl.add_argument("--nu", help="atoms:loc:mass,...")
-    pl.add_argument("--cost", help="sqdist | abs (named rules only)")
-    pl.add_argument("--schedule", help="coupled:c=C:gammas=... | power:coeff=C:exp=P:gammas=... | pairs:g:d,...")
-    pl.add_argument("--n", type=int, help="cell count on the original domain")
-    pl.add_argument("--domain", help="original domain as lo:hi (default 0:1)")
-    pl.add_argument("--tol", type=float)
-    pl.add_argument("--max-iter", dest="max_iter", type=int)
-    pl.add_argument("--mode", choices=["log", "direct"])
-    pl.add_argument("--out")
-
-    po = sub.add_parser("orlicz-norm", parents=[common], help="Luxemburg norm of a sampled function")
-    po.add_argument("--young", choices=["log", "exp", "solver"])
-    po.add_argument("--input", help="CSV with x,density rows")
-    po.add_argument("--tol", type=float)
-    po.add_argument("--out", help="optional JSON output path")
-
-    pe = sub.add_parser("entropy", parents=[common], help="integral of f log f")
-    pe.add_argument("--input")
-    pe.add_argument("--out")
-
-    pc = sub.add_parser("check-optimality", parents=[common], help="recheck a stored plan")
-    pc.add_argument("--mu")
-    pc.add_argument("--nu")
-    pc.add_argument("--cost")
-    pc.add_argument("--gamma", type=float)
-    pc.add_argument("--plan", help="plan CSV to check")
-    pc.add_argument("--tol", type=float, help="residual tolerance for the verdict")
-    pc.add_argument("--out")
-    return p
-
-
-def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str, str]]]:
-    """Merge flags, config file, and defaults; collect every violation.
-
-    Returns the merged configuration and a list of (kind, message)
-    violations, kind being "param" or "missing"; an empty list means
-    the configuration is valid.
-    """
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    file_values: Dict[str, object] = {}
-    if args.config is not None:
-        if not os.path.exists(args.config):
-            raise CliError(EXIT_MISSING_FILE, f"config file not found: {args.config}")
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_PARAM, f"config file {args.config}: {exc}")
-        if not isinstance(file_values, dict):
-            raise CliError(EXIT_PARAM, f"config file {args.config}: expected a JSON object")
-
-    options: Dict[str, object] = {}
-    provenance: Dict[str, str] = {}
-    merged_defaults = dict(_GLOBAL_DEFAULTS)
-    merged_defaults.update(_DEFAULTS[command])
-    for key, default in merged_defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            options[key] = flag_val
-            provenance[key] = "flag"
-        elif key in file_values:
-            options[key] = file_values[key]
-            provenance[key] = "config"
-        else:
-            options[key] = default
-            provenance[key] = "default"
-
-    violations = _validate(command, options)
-    return ExperimentConfig(command, options, provenance), violations
-
-
-def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
-    """Return (kind, message) pairs; kind is "param" or "missing"."""
-    v: List[Tuple[str, str]] = []
-
-    def param(msg: str) -> None:
-        v.append(("param", msg))
-
-    def need_file(key: str) -> None:
-        path = o.get(key)
-        if path is None:
-            param(f"--{key.replace('_', '-')} is required")
-        elif not isinstance(path, str) or not os.path.exists(path):
-            v.append(("missing", f"--{key.replace('_', '-')}: file not found: {path}"))
-
-    def need_positive(key: str) -> None:
-        val = o.get(key)
-        if val is None:
-            param(f"--{key.replace('_', '-')} is required")
-            return
-        try:
-            ok = float(val) > 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            param(f"--{key.replace('_', '-')} must be positive, got {val}")
-
-    if command in ("solve", "sweep-gamma", "check-optimality"):
-        need_file("mu")
-        need_file("nu")
-        cost = o.get("cost")
-        if isinstance(cost, str) and cost.startswith("file:"):
-            if not os.path.exists(cost[5:]):
-                v.append(("missing", f"--cost: file not found: {cost[5:]}"))
-        elif cost not in solver.COST_RULES:
-            param(f"--cost must be sqdist, abs, or file:PATH, got {cost}")
-    if command in ("solve", "check-optimality"):
-        need_positive("gamma")
-    if command == "check-optimality":
-        need_file("plan")
-    if command == "sweep-gamma":
-        try:
-            gammas = _parse_floats(o.get("gammas"))
-            if not gammas or any(g <= 0 for g in gammas):
-                param(f"--gammas must list positive values, got {o.get('gammas')}")
-        except ValueError:
-            param(f"--gammas could not be parsed: {o.get('gammas')}")
-    if command == "gamma-limit":
-        for key in ("mu", "nu"):
-            try:
-                _parse_atoms(o.get(key))
-            except ValueError as exc:
-                param(f"--{key}: {exc}")
-        if o.get("cost") not in gl.CONVEX_RULES:
-            param(f"--cost must be one of {gl.CONVEX_RULES} for gamma-limit, got {o.get('cost')}")
-        try:
-            sched = _parse_schedule(o.get("schedule"))
-            if not sched:
-                param("--schedule must contain at least one point")
-        except ValueError as exc:
-            param(f"--schedule: {exc}")
-        try:
-            _parse_domain(o.get("domain"))
-        except ValueError as exc:
-            param(f"--domain: {exc}")
-        n = o.get("n")
-        if not isinstance(n, int) or n < 1:
-            param(f"--n must be a positive integer, got {n}")
-    if command in ("orlicz-norm", "entropy"):
-        need_file("input")
-    if command in ("solve", "sweep-gamma", "gamma-limit", "orlicz-norm", "check-optimality"):
-        need_positive("tol")
-    if command in ("solve", "sweep-gamma", "gamma-limit"):
-        mi = o.get("max_iter")
-        if not isinstance(mi, int) or mi < 1:
-            param(f"--max-iter must be a positive integer, got {mi}")
-        if o.get("mode") not in ("log", "direct"):
-            param(f"--mode must be log or direct, got {o.get('mode')}")
-    threads = o.get("threads")
-    if not isinstance(threads, int) or threads < 1:
-        param(f"--threads must be a positive integer, got {threads}")
-    return v
-
-
 def _parse_floats(text) -> List[float]:
     if text is None:
         raise ValueError("missing value")
     if isinstance(text, (list, tuple)):
+        # a JSON list from a config file: numbers, or strings read as numbers
+        if not all(isinstance(t, (str, int, float)) and not isinstance(t, bool) for t in text):
+            raise ValueError(f"expected a list of numbers, got {text!r}")
         return [float(t) for t in text]
     return [float(t) for t in str(text).split(",") if t.strip()]
 
@@ -322,6 +99,8 @@ def _parse_domain(text) -> Tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"domain bounds must be finite, got {text!r}")
     if hi <= lo:
         raise ValueError(f"domain needs hi > lo, got {text!r}")
     return lo, hi
@@ -342,39 +121,228 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
             tail.append(part)
     if kind == "coupled":
         gammas = _parse_floats(fields.get("gammas"))
-        return gl.coupled_schedule(gammas, float(fields.get("c", 1.0)))
-    if kind == "power":
+        schedule = gl.coupled_schedule(gammas, float(fields.get("c", 1.0)))
+    elif kind == "power":
         gammas = _parse_floats(fields.get("gammas"))
-        return gl.power_schedule(
+        schedule = gl.power_schedule(
             gammas, float(fields.get("coeff", 0.01)), float(fields.get("exp", 2.0))
         )
-    if kind == "pairs":
+    elif kind == "pairs":
         body = ":".join(tail) if tail else ""
-        pairs = []
+        schedule = []
         for chunk in body.split(","):
             gd = chunk.split(":")
             if len(gd) != 2:
                 raise ValueError(f"bad pair {chunk!r}, expected gamma:delta")
-            pairs.append((float(gd[0]), float(gd[1])))
-        return pairs
-    raise ValueError(f"unknown schedule kind {kind!r}")
+            schedule.append((float(gd[0]), float(gd[1])))
+    else:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if not schedule:
+        raise ValueError("must contain at least one point")
+    # a negative gamma to a fractional power is complex
+    if not all(isinstance(v, float) and math.isfinite(v) for pair in schedule for v in pair):
+        raise ValueError(f"gamma and delta must be finite real numbers, got {text!r}")
+    return schedule
+
+
+def _existing_file(path: str) -> None:
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"file not found: {path}")
+
+
+def _positive(value) -> None:
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value}")
+
+
+def _cost_rule(cost: str) -> None:
+    if cost.startswith("file:"):
+        _existing_file(cost[5:])
+    elif cost not in solver.COST_RULES:
+        raise ValueError(f"must be sqdist, abs, or file:PATH, got {cost}")
+
+
+def _convex_cost_rule(cost: str) -> None:
+    if cost not in gl.CONVEX_RULES:
+        raise ValueError(f"must be one of {gl.CONVEX_RULES} for gamma-limit, got {cost}")
+
+
+def _gamma_list(text) -> None:
+    gammas = _parse_floats(text)
+    if not gammas or any(g <= 0 for g in gammas):
+        raise ValueError(f"must list positive values, got {text}")
+
+
+#: marks an option a subcommand requires, which therefore has no default;
+#: None is the value of an option left unset, such as solve's --plan
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: the help of its flag, the type that reads its text, its choices, its check."""
+
+    help: str
+    type: Callable = str
+    choices: Tuple[str, ...] = ()
+    #: checks a set value; raises ValueError for an invalid parameter and
+    #: FileNotFoundError for a missing input file
+    check: Optional[Callable] = None
+    #: (JSON types, their name) a config value may have, if not those of ``type``
+    config_types: Optional[Tuple[tuple, str]] = None
+
+
+#: JSON types a config value may have, by the type that reads the option's
+#: flag; a string is read as the flag's text would be
+_JSON_TYPES = {
+    str: ((str,), "a string"),
+    float: ((str, int, float), "a number"),
+    int: ((str, int), "an integer"),
+    bool: ((bool,), "true or false"),
+}
+
+#: every option, by its config key; the flag is the key with dashes for underscores
+_OPTIONS: Dict[str, _Option] = {
+    "config": _Option("JSON file supplying any option; flags win"),
+    "out_dir": _Option("directory prefixed to relative output paths"),
+    "quiet": _Option("suppress progress output", bool),
+    "threads": _Option(
+        "worker threads for sweeps (default 1, bitwise reproducible)", int, check=_positive
+    ),
+    "mu": _Option(
+        "first marginal: CSV with x,density rows; for gamma-limit atoms:loc:mass,...",
+        check=_existing_file,
+    ),
+    "nu": _Option("second marginal, in the form of --mu", check=_existing_file),
+    "cost": _Option("sqdist | abs | file:cost.csv (gamma-limit: sqdist | abs)", check=_cost_rule),
+    "gamma": _Option("regularization weight, positive", float, check=_positive),
+    "gammas": _Option(
+        "comma-separated gamma values",
+        config_types=((str, list), "a list of numbers or a string"),
+        check=_gamma_list,
+    ),
+    "schedule": _Option(
+        "coupled:c=C:gammas=... | power:coeff=C:exp=P:gammas=... | pairs:g:d,...",
+        check=_parse_schedule,
+    ),
+    "n": _Option("cell count on the original domain", int, check=_positive),
+    "domain": _Option("original domain as lo:hi", check=_parse_domain),
+    "tol": _Option(
+        "marginal residual tolerance; for check-optimality that of the verdict", float, check=_positive
+    ),
+    "max_iter": _Option("iteration cap of each solve", int, check=_positive),
+    "mode": _Option("scaling arithmetic", choices=("log", "direct")),
+    "out": _Option("output path: JSON report, or CSV for the sweeps"),
+    "plan": _Option("plan CSV (x,y,density) that solve writes and check-optimality reads"),
+    "young": _Option("Young function of the norm", choices=tuple(_YOUNG)),
+    "input": _Option("CSV with x,density rows", check=_existing_file),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="entot", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, spec in _COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        for key in ("config", *_SHARED, *spec.defaults):
+            opt = _OPTIONS[key]
+            if opt.type is bool:
+                sp.add_argument(_flag(key), action="store_const", const=True, help=opt.help)
+            else:
+                sp.add_argument(_flag(key), type=opt.type, choices=opt.choices or None, help=opt.help)
+    return p
+
+
+def _from_config(key: str, value: object, nullable: bool) -> object:
+    """A config-file value, read and checked as the option's flag would be.
+
+    Raises ValueError if the value is not of the option's JSON type (a
+    boolean is not a number) or not among its choices. ``null`` leaves the
+    option unset where ``nullable``.
+    """
+    opt = _OPTIONS[key]
+    if value is None and nullable:
+        return None
+    types, name = opt.config_types or _JSON_TYPES[opt.type]
+    ok = isinstance(value, types) and not (isinstance(value, bool) and bool not in types)
+    if ok and not isinstance(value, (bool, list)):
+        try:
+            value = opt.type(value)
+        except (ValueError, OverflowError):  # float() of an integer past 1e308
+            ok = False
+    if not ok:
+        raise ValueError(f"must be {name}, got {json.dumps(value)}")
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"must be one of {', '.join(opt.choices)}, got {value!r}")
+    return value
+
+
+def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str, str]]]:
+    """Merge flags, config file, and defaults; collect every violation.
+
+    Returns the merged configuration and a list of (kind, message)
+    violations, kind being "param" or "missing"; an empty list means
+    the configuration is valid.
+    """
+    args = _build_parser().parse_args(argv)
+    command = args.command
+    file_values: Dict[str, object] = {}
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise CliError(EXIT_MISSING_FILE, f"config file not found: {args.config}")
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer
+            raise CliError(EXIT_PARAM, f"config file {args.config}: {exc}")
+        if not isinstance(file_values, dict):
+            raise CliError(EXIT_PARAM, f"config file {args.config}: expected a JSON object")
+
+    options: Dict[str, object] = {}
+    provenance: Dict[str, str] = {}
+    violations: List[Tuple[str, str]] = []
+    for key, default in {**_SHARED, **_COMMANDS[command].defaults}.items():
+        value, origin = getattr(args, key), "flag"
+        if value is None and key in file_values:
+            origin = "config"
+            try:
+                value = _from_config(key, file_values[key], nullable=default is None)
+            except ValueError as exc:
+                violations.append(("param", f"{_flag(key)}: config value {exc}"))
+        elif value is None:
+            value, origin = default, "default"
+            if value is _REQUIRED:
+                violations.append(("param", f"{_flag(key)} is required"))
+                value = None
+        options[key] = value
+        provenance[key] = origin
+
+    violations += _validate(command, options)
+    return ExperimentConfig(command, options, provenance), violations
+
+
+def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
+    """Return (kind, message) pairs for the set options; kind is "param" or "missing"."""
+    v: List[Tuple[str, str]] = []
+    for key, value in o.items():
+        check = _COMMANDS[command].checks.get(key, _OPTIONS[key].check)
+        if value is None or check is None:
+            continue
+        try:
+            check(value)
+        except FileNotFoundError as exc:
+            v.append(("missing", f"{_flag(key)}: {exc}"))
+        except (ValueError, ArithmeticError) as exc:  # such as gamma**exp overflowing
+            v.append(("param", f"{_flag(key)}: {exc}"))
+    return v
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
@@ -414,24 +382,23 @@ def emit_files(outputs: Dict[str, str]) -> None:
                 pass
 
 
-def _load_measure(path: str) -> measures.GridMeasure:
+def _read(read: Callable, path: str, what: str):
+    """``read(path)`` for a CSV reader of ``measures``; a missing file exits 4, a malformed one 3."""
     try:
-        return measures.read_measure_csv(path)
+        return read(path)
     except FileNotFoundError:
-        raise CliError(EXIT_MISSING_FILE, f"input file not found: {path}")
+        raise CliError(EXIT_MISSING_FILE, f"{what} file not found: {path}")
     except ValueError as exc:
         raise CliError(EXIT_PARAM, str(exc))
 
 
+def _load_measure(path: str) -> measures.GridMeasure:
+    return _read(measures.read_measure_csv, path, "input")
+
+
 def _build_cost(descriptor: str, g1, g2) -> solver.CostField:
     if descriptor.startswith("file:"):
-        path = descriptor[5:]
-        try:
-            table = measures.read_product_csv(path)
-        except FileNotFoundError:
-            raise CliError(EXIT_MISSING_FILE, f"cost file not found: {path}")
-        except ValueError as exc:
-            raise CliError(EXIT_PARAM, str(exc))
+        table = _read(measures.read_product_csv, descriptor[5:], "cost")
         return solver.CostField(g1, g2, table.values)
     return solver.cost_field(g1, g2, descriptor)
 
@@ -451,27 +418,28 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
     }
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> int:
-    o = cfg.options
+def _solver_for(o: Dict[str, object]) -> Callable[[float], solver.SolveResult]:
+    """Load --mu, --nu and --cost; return gamma -> the --mode solve at that gamma."""
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
     cost = _build_cost(o["cost"], mu.grid, nu.grid)
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
+    return lambda gamma: run(mu, nu, cost, gamma, tol=o["tol"], max_iter=o["max_iter"])
+
+
+def _cmd_solve(cfg: ExperimentConfig) -> int:
+    o = cfg.options
+    solve = _solver_for(o)
     code = EXIT_OK
     try:
-        result = run(mu, nu, cost, float(o["gamma"]), tol=float(o["tol"]), max_iter=int(o["max_iter"]))
+        result = solve(o["gamma"])
         plan, report = result.plan, result.report
     except solver.ConvergenceError as exc:
         report, plan, code = exc.report, None, EXIT_FAILED
 
     outputs = {_resolve_out(o["out"], o["out_dir"]): _json_text(_report_dict(report, cfg.provenance))}
     if o["plan"] is not None and plan is not None:
-        rows = []
-        xs, ys = plan.grid1.centers, plan.grid2.centers
-        for i in range(plan.grid1.n):
-            for j in range(plan.grid2.n):
-                rows.append((float(xs[i]), float(ys[j]), float(plan.values[i, j])))
-        outputs[_resolve_out(o["plan"], o["out_dir"])] = _csv_text(["x", "y", "density"], rows)
+        outputs[_resolve_out(o["plan"], o["out_dir"])] = measures._product_csv_text(plan)
     emit_files(outputs)
     if not o["quiet"]:
         state = "converged" if report.converged else "did NOT converge"
@@ -484,15 +452,12 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
 
 def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    mu = _load_measure(o["mu"])
-    nu = _load_measure(o["nu"])
-    cost = _build_cost(o["cost"], mu.grid, nu.grid)
-    run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
+    solve = _solver_for(o)
     rows = []
     worst = EXIT_OK
     for gamma in _parse_floats(o["gammas"]):
         try:
-            rep = run(mu, nu, cost, gamma, tol=float(o["tol"]), max_iter=int(o["max_iter"])).report
+            rep = solve(gamma).report
             status = "ok"
         except solver.ConvergenceError as exc:
             rep, status, worst = exc.report, "failed: no convergence", EXIT_FAILED
@@ -506,7 +471,7 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
              rep.optimality_residual[0], rep.optimality_residual[1], status)
         )
     header = ["gamma", "iterations", "primal", "dual", "gap", "r1", "r2", "status"]
-    emit_files({_resolve_out(o["out"], o["out_dir"]): _csv_text(header, rows)})
+    emit_files({_resolve_out(o["out"], o["out_dir"]): measures._csv_text(header, rows)})
     if not o["quiet"]:
         print(f"swept {len(rows)} gamma values -> {o['out']}")
     return worst
@@ -518,16 +483,12 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     nu = _parse_atoms(o["nu"])
     lo, hi = _parse_domain(o["domain"])
     schedule = _parse_schedule(o["schedule"])
-    grid = measures.Grid1D(lo, hi, int(o["n"]))
+    grid = measures.Grid1D(lo, hi, o["n"])
     ext = gl.ExtendedDomain.extend(grid, max(d for _, d in schedule))
-    try:
-        points = gl.gamma_sweep(
-            mu, nu, o["cost"], schedule, ext,
-            tol=float(o["tol"]), max_iter=int(o["max_iter"]),
-            mode=o["mode"], threads=int(o["threads"]),
-        )
-    except solver.ParameterError as exc:
-        raise CliError(EXIT_PARAM, str(exc))
+    points = gl.gamma_sweep(
+        mu, nu, o["cost"], schedule, ext,
+        tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"], threads=o["threads"],
+    )
     rows = []
     for p in points:
         rows.append(
@@ -538,7 +499,7 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
         )
     header = ["gamma", "delta", "regularized_value", "reference", "gap_to_reference",
               "entropy_mu_delta", "entropy_nu_delta", "status"]
-    emit_files({_resolve_out(o["out"], o["out_dir"]): _csv_text(header, rows)})
+    emit_files({_resolve_out(o["out"], o["out_dir"]): measures._csv_text(header, rows)})
     if not o["quiet"]:
         for p in points:
             print(f"gamma={p.gamma} delta={p.delta} value={p.regularized_value!r} [{p.status}]")
@@ -548,7 +509,7 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
 def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
     o = cfg.options
     f = _load_measure(o["input"])
-    result = orlicz.luxemburg_norm(f, _YOUNG[o["young"]], float(o["tol"]))
+    result = orlicz.luxemburg_norm(f, _YOUNG[o["young"]], o["tol"])
     payload = {
         "value": result.value,
         "bracket": list(result.bracket),
@@ -578,12 +539,7 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     o = cfg.options
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
-    try:
-        plan = measures.read_product_csv(o["plan"])
-    except FileNotFoundError:
-        raise CliError(EXIT_MISSING_FILE, f"plan file not found: {o['plan']}")
-    except ValueError as exc:
-        raise CliError(EXIT_PARAM, str(exc))
+    plan = _read(measures.read_product_csv, o["plan"], "plan")
     for key, grid, m in (("mu", plan.grid1, mu), ("nu", plan.grid2, nu)):
         # the grids are rebuilt from printed centers, so match them to a fraction of a cell
         if grid.n != m.grid.n or not np.allclose(
@@ -598,14 +554,14 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     m1, m2 = measures.marginals(plan)
     r1 = float(np.abs(m1.density - mu.density).sum() * mu.grid.h)
     r2 = float(np.abs(m2.density - nu.density).sum() * nu.grid.h)
-    primal = solver.primal_value(plan, cost, float(o["gamma"]))
-    within = bool(max(r1, r2) <= float(o["tol"]))
+    primal = solver.primal_value(plan, cost, o["gamma"])
+    within = bool(max(r1, r2) <= o["tol"])
     payload = {
         "r1": r1,
         "r2": r2,
         "primal": primal,
         "within_tol": within,
-        "tol": float(o["tol"]),
+        "tol": o["tol"],
         "provenance": cfg.provenance,
     }
     out = _resolve_out(o["out"], o["out_dir"])
@@ -616,13 +572,39 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     return EXIT_OK if within else EXIT_FAILED
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "sweep-gamma": _cmd_sweep_gamma,
-    "gamma-limit": _cmd_gamma_limit,
-    "orlicz-norm": _cmd_orlicz_norm,
-    "entropy": _cmd_entropy,
-    "check-optimality": _cmd_check_optimality,
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[ExperimentConfig], int]
+    #: the options the subcommand takes besides those of _SHARED, with their defaults
+    defaults: Dict[str, object]
+    #: checks of options the subcommand reads otherwise than _OPTIONS does
+    checks: Dict[str, Callable] = {}
+
+
+#: options of every subcommand besides --config, with their defaults
+_SHARED = {"out_dir": None, "quiet": False, "threads": 1}
+
+_COMMANDS: Dict[str, _Command] = {
+    "solve": _Command("entropic transport between two measures", _cmd_solve, {
+        "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "gamma": _REQUIRED, "tol": 1e-9,
+        "max_iter": 100000, "mode": "log", "out": "report.json", "plan": None,
+    }),
+    "sweep-gamma": _Command("solve over a list of gammas", _cmd_sweep_gamma, {
+        "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "gammas": _REQUIRED, "tol": 1e-9,
+        "max_iter": 100000, "mode": "log", "out": "sweep.csv",
+    }),
+    "gamma-limit": _Command("smoothed-marginal (gamma, delta) sweep", _cmd_gamma_limit, {
+        "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "schedule": _REQUIRED, "n": 256,
+        "domain": "0:1", "tol": 1e-9, "max_iter": 100000, "mode": "log", "out": "sweep.csv",
+    }, checks={"mu": _parse_atoms, "nu": _parse_atoms, "cost": _convex_cost_rule}),
+    "orlicz-norm": _Command("Luxemburg norm of a sampled function", _cmd_orlicz_norm, {
+        "young": "log", "input": _REQUIRED, "tol": 1e-10, "out": None,
+    }),
+    "entropy": _Command("integral of f log f", _cmd_entropy, {"input": _REQUIRED, "out": None}),
+    "check-optimality": _Command("recheck a stored plan", _cmd_check_optimality, {
+        "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "gamma": _REQUIRED,
+        "plan": _REQUIRED, "tol": 1e-6, "out": None,
+    }, checks={"plan": _existing_file}),
 }
 
 
@@ -639,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_MISSING_FILE
         return EXIT_PARAM
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _COMMANDS[cfg.command].run(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -121,8 +121,8 @@ class ExtendedDomain:
 
     @classmethod
     def extend(cls, original: Grid1D, margin: float) -> "ExtendedDomain":
-        if margin < 0:
-            raise ParameterError(f"extension margin must be nonnegative, got {margin}")
+        if not 0 <= margin < math.inf:
+            raise ParameterError(f"extension margin must be finite and nonnegative, got {margin}")
         h = original.h
         k = int(math.ceil(margin / h - 1e-12))
         extended = Grid1D(original.lo - k * h, original.hi + k * h, original.n + 2 * k)
@@ -388,8 +388,8 @@ def gamma_sweep(
     fn = _resolve_cost(cost, convex_only=True)
     h = ext.extended.h
     for g, d in schedule:
-        if g <= 0 or d <= 0:
-            raise ParameterError(f"schedule entries must be positive, got ({g}, {d})")
+        if not (0 < g < math.inf and 0 < d < math.inf):
+            raise ParameterError(f"schedule entries must be positive and finite, got ({g}, {d})")
         if d > ext.margin + 1e-12:
             raise ParameterError(f"delta = {d} exceeds the extension margin {ext.margin}")
         if h > d / MIN_CELLS_PER_DELTA + 1e-12:

@@ -218,9 +218,9 @@ class ProductFunction:
 class AtomicMeasure:
     """Finite sum of point masses on an interval.
 
-    ``atoms`` is a sequence of ``(location, mass)`` pairs with positive
-    masses summing to 1 within :data:`MASS_TOL` and locations inside
-    ``[lo, hi]``.
+    ``atoms`` is a sequence of ``(location, mass)`` pairs with finite
+    positive masses summing to 1 within :data:`MASS_TOL` and finite
+    locations inside ``[lo, hi]``.
     """
 
     atoms: Tuple[Tuple[float, float], ...]
@@ -234,6 +234,8 @@ class AtomicMeasure:
         if hi <= lo:
             raise ValueError(f"domain needs hi > lo, got [{lo}, {hi}]")
         for x, m in pairs:
+            if not (np.isfinite(x) and np.isfinite(m)):
+                raise ValueError(f"atom at {x} with mass {m} is not finite")
             if m <= 0:
                 raise ValueError(f"atom at {x} has non-positive mass {m}")
             if not (lo <= x <= hi):
@@ -300,13 +302,28 @@ def _bad_row(path, reader, exc: Exception) -> ValueError:
     return ValueError(f"{path}: line {reader.line_num}: {what}")
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with LF line ends; floats are written by ``repr``, which reads back exactly."""
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _product_csv_text(p: ProductDensity) -> str:
+    """The ``x,y,density`` CSV text of a product density, row-major."""
+    ys = p.grid2.centers.tolist()
+    rows = (
+        (x, y, v)
+        for x, row in zip(p.grid1.centers.tolist(), p.values.tolist())
+        for y, v in zip(ys, row)
+    )
+    return _csv_text(["x", "y", "density"], rows)
+
+
 def write_measure_csv(path, m: GridMeasure) -> None:
     """Write a measure as CSV with header ``x,density``, one row per cell."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density"])
-        for x, d in zip(m.grid.centers, m.density):
-            writer.writerow([repr(float(x)), repr(float(d))])
+        fh.write(_csv_text(["x", "density"], zip(m.grid.centers.tolist(), m.density.tolist())))
 
 
 def read_measure_csv(path) -> GridMeasure:
@@ -331,14 +348,8 @@ def read_measure_csv(path) -> GridMeasure:
 
 def write_product_csv(path, p: ProductDensity) -> None:
     """Write a product density as CSV with header ``x,y,density``, row-major."""
-    xs = p.grid1.centers
-    ys = p.grid2.centers
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "density"])
-        for i in range(p.grid1.n):
-            for j in range(p.grid2.n):
-                writer.writerow([repr(float(xs[i])), repr(float(ys[j])), repr(float(p.values[i, j]))])
+        fh.write(_product_csv_text(p))
 
 
 def read_product_csv(path) -> ProductDensity:

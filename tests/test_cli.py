@@ -285,3 +285,60 @@ def test_config_bad_json_is_parameter_error(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
     assert run(["solve", "--config", str(bad)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, values, flag",
+    [
+        ("orlicz-norm", {"young": "bogus"}, "--young"),
+        ("solve", {"out": 5}, "--out"),
+        ("solve", {"plan": 7}, "--plan"),
+        ("solve", {"out_dir": 5}, "--out-dir"),
+        ("solve", {"cost": ["sqdist"]}, "--cost"),
+        ("solve", {"gamma": True}, "--gamma"),
+        ("solve", {"quiet": "no"}, "--quiet"),
+    ],
+)
+def test_config_value_of_wrong_type_is_parameter_error(
+    tmp_path, marginal_files, capsys, monkeypatch, command, values, flag
+):
+    mu, nu = marginal_files
+    monkeypatch.chdir(tmp_path)  # a run that should not happen writes its report here
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gamma": 0.5, **values}))
+    inputs = ["--input", mu] if command == "orlicz-norm" else ["--mu", mu, "--nu", nu]
+    assert run([command, *inputs, "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
+def test_typed_config_values_are_used(tmp_path, marginal_files):
+    mu, nu = marginal_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tol": 1e-8, "gammas": [0.5, 0.1], "mu": mu, "nu": nu}))
+    args = ["sweep-gamma", "--config", str(cfg_path)]
+    cfg, violations = cli.parse_config(args)
+    assert violations == []
+    assert cfg.options["tol"] == 1e-8 and cfg.options["gammas"] == [0.5, 0.1]
+    assert cfg.provenance["tol"] == cfg.provenance["gammas"] == "config"
+    out = tmp_path / "sweep.csv"
+    assert run([*args, "--out", str(out), "--quiet"]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0.5", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--mu", "atoms:0:nan"),
+        ("--schedule", "pairs:0.1:nan"),
+        ("--schedule", "pairs:0.1:inf"),
+        ("--domain", "0:nan"),
+    ],
+)
+def test_gamma_limit_non_finite_input_is_parameter_error(tmp_path, capsys, flag, value):
+    args = {"--mu": "atoms:0:1", "--nu": "atoms:1:1", "--schedule": "coupled:c=1:gammas=0.2",
+            "--n": "64", "--out": str(tmp_path / "gl.csv"), flag: value}
+    assert run(["gamma-limit", *(text for pair in args.items() for text in pair)]) == 3
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err

@@ -278,6 +278,20 @@ def test_sweep_validates_grid_resolution():
         simple_sweep(sched, n=64)
 
 
+def test_extend_and_sweep_refuse_non_finite_delta():
+    base = Grid1D(0.0, 1.0, 64)
+    for margin in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            ExtendedDomain.extend(base, margin)
+    ext = ExtendedDomain.extend(base, 0.25)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
+    nan, inf = float("nan"), float("inf")
+    for pair in ((0.2, nan), (nan, 0.2), (inf, 0.2)):
+        with pytest.raises(ParameterError, match="finite"):
+            gamma_sweep(mu, nu, "sqdist", [pair], ext)
+
+
 def test_sweep_requires_named_cost():
     mu = AtomicMeasure([(0.0, 1.0)])
     nu = AtomicMeasure([(1.0, 1.0)])

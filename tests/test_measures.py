@@ -120,6 +120,10 @@ def test_atomic_measure_sorted_and_validated():
         AtomicMeasure([(0.5, 0.5)])  # masses must sum to 1
     with pytest.raises(ValueError):
         AtomicMeasure([(0.5, 1.5), (0.6, -0.5)])
+    # NaN compares False both ways, so it must be refused by name
+    for atoms in ([(0.5, float("nan"))], [(float("nan"), 1.0)], [(float("inf"), 1.0)]):
+        with pytest.raises(ValueError, match="not finite"):
+            AtomicMeasure(atoms, 0.0, float("inf"))
     with pytest.raises(ValueError):
         AtomicMeasure([(2.0, 1.0)], lo=0.0, hi=1.0)
 
@@ -133,6 +137,9 @@ def test_measure_csv_roundtrip(tmp_path):
     assert back.grid.n == 37
     assert back.grid.lo == pytest.approx(-1.0, abs=1e-12)
     assert_allclose(back.density, m.density, rtol=0, atol=0)
+    # files written with CRLF line ends read the same
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_allclose(read_measure_csv(path).density, m.density, rtol=0, atol=0)
 
 
 def test_product_csv_roundtrip_row_major(tmp_path):
@@ -148,6 +155,8 @@ def test_product_csv_roundtrip_row_major(tmp_path):
     assert text[1].split(",")[0] == text[2].split(",")[0]
     back = read_product_csv(path)
     assert_allclose(back.values, vals, rtol=0, atol=0)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_allclose(read_product_csv(path).values, vals, rtol=0, atol=0)
 
 
 def test_csv_readers_name_file_and_line_of_a_short_row(tmp_path):
