@@ -19,8 +19,9 @@ numbers. A string given for a numeric option is read as the flag's text,
 and null is accepted only for an option that is unset by default, such as
 solve's --plan. Any other value is an invalid parameter. Outputs are
 written atomically (all files appear, or none). Exit codes: 0 success,
-2 usage, 3 invalid parameter, 4 missing input file, 5 computation failed
-or did not converge, 6 output write failure.
+2 usage, 3 invalid parameter or an input that exists but cannot be read,
+4 missing input file, 5 computation failed or did not converge, 6 output
+write failure.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
 check), and each subcommand once, in ``_COMMANDS`` (help, handler and the
@@ -226,7 +227,10 @@ _OPTIONS: Dict[str, _Option] = {
         check=_parse_schedule,
     ),
     "n": _Option("cell count on the original domain", int, check=_positive),
-    "domain": _Option("original domain as lo:hi", check=_parse_domain),
+    "domain": _Option(
+        "original domain as lo:hi; join a negative lo with =, as in --domain=-1:1",
+        check=_parse_domain,
+    ),
     "tol": _Option(
         "marginal residual tolerance; for check-optimality that of the verdict", float, check=_positive
     ),
@@ -357,11 +361,14 @@ def emit_files(outputs: Dict[str, str]) -> None:
     """Write every (path -> text) pair atomically: all files appear or none.
 
     Content is staged to temporary files in the target directories first;
-    only after every stage succeeds are the files moved into place.
+    only after every stage succeeds are the files moved into place. A
+    target that is an existing directory is refused before any move.
     """
     staged: List[Tuple[str, str]] = []
     try:
         for path, text in outputs.items():
+            if os.path.isdir(path):
+                raise CliError(EXIT_WRITE, f"cannot write to {path}: is a directory")
             directory = os.path.dirname(path) or "."
             try:
                 fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entot-", suffix=".tmp")
@@ -383,11 +390,14 @@ def emit_files(outputs: Dict[str, str]) -> None:
 
 
 def _read(read: Callable, path: str, what: str):
-    """``read(path)`` for a CSV reader of ``measures``; a missing file exits 4, a malformed one 3."""
+    """``read(path)`` for a CSV reader of ``measures``; a missing file exits 4,
+    an unreadable or malformed one 3."""
     try:
         return read(path)
     except FileNotFoundError:
         raise CliError(EXIT_MISSING_FILE, f"{what} file not found: {path}")
+    except OSError as exc:  # such as a directory given as the file
+        raise CliError(EXIT_PARAM, f"cannot read {what} file {path}: {exc.strerror or exc}")
     except ValueError as exc:
         raise CliError(EXIT_PARAM, str(exc))
 

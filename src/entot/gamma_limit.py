@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .measures import AtomicMeasure, Grid1D, GridMeasure
-from .orlicz import PHI_LOG, luxemburg_norm, neg_entropy
+from .orlicz import neg_entropy
 from . import solver
 from .solver import COST_RULES, ParameterError, SolverError
 
@@ -50,7 +50,8 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     """The standard bump exp(-1/(1-s^2)) on (-1, 1), zero outside."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
+    # boolean temporaries only, which keeps smoothing's peak memory down on fine grids
+    inside = (s > -1.0) & (s < 1.0)
     si = s[inside]
     out[inside] = np.exp(-1.0 / (1.0 - si * si))
     return out
@@ -104,7 +105,8 @@ class Mollifier:
                 f"kernel of width {self.delta} has no support on the grid "
                 f"(h = {grid.h}); refine the grid"
             )
-        return vals / total
+        vals /= total
+        return vals
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,20 @@ class ExtendedDomain:
         return self.cells * self.original.h
 
 
+def _check_delta(delta: float, ext: ExtendedDomain) -> None:
+    """Raise ParameterError unless delta is positive, finite, within the margin and resolved."""
+    if not 0 < delta < math.inf:
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
+    if delta > ext.margin + 1e-12:
+        raise ParameterError(f"delta = {delta} exceeds the extension margin {ext.margin}")
+    h = ext.extended.h
+    if h > delta / MIN_CELLS_PER_DELTA + 1e-12:
+        raise ParameterError(
+            f"grid with h = {h} does not resolve delta = {delta}; "
+            f"need h <= delta/{MIN_CELLS_PER_DELTA}"
+        )
+
+
 def smooth_marginal(
     m: Union[AtomicMeasure, GridMeasure], delta: float, ext: ExtendedDomain
 ) -> GridMeasure:
@@ -143,23 +159,15 @@ def smooth_marginal(
     rounding accuracy. The extension margin must cover delta and the grid
     must resolve the kernel (h <= delta / 4).
     """
+    _check_delta(delta, ext)
     grid = ext.extended
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if delta > ext.margin + 1e-12:
-        raise ParameterError(
-            f"delta = {delta} exceeds the extension margin {ext.margin}"
-        )
-    if grid.h > delta / MIN_CELLS_PER_DELTA + 1e-12:
-        raise ParameterError(
-            f"grid with h = {grid.h} does not resolve delta = {delta}; "
-            f"need h <= delta/{MIN_CELLS_PER_DELTA}"
-        )
     kernel = Mollifier(delta, grid.h)
     out = np.zeros(grid.n)
     if isinstance(m, AtomicMeasure):
         for loc, mass in m.atoms:
-            out += mass * kernel.grid_values(grid, loc)
+            vals = kernel.grid_values(grid, loc)
+            vals *= mass  # in place, as each temporary spans the extended grid
+            out += vals
     elif isinstance(m, GridMeasure):
         if abs(m.grid.h - grid.h) > 1e-12 * grid.h:
             raise ParameterError("grid measure and extended grid have different cell widths")
@@ -264,6 +272,9 @@ class SweepPoint:
     plan, the quantity that approaches the unregularized reference along
     a coupled schedule; the full objective (cost plus gamma-weighted
     entropy) and the entropy term itself are kept separately.
+    ``entropy_of_smoothed_marginals`` holds the neg-entropy of each
+    smoothed marginal, finite for every delta > 0. A failed point has NaN
+    values, zero iterations and the reason in ``status``.
     """
 
     gamma: float
@@ -271,7 +282,6 @@ class SweepPoint:
     regularized_value: float
     unregularized_reference: float
     entropy_of_smoothed_marginals: Tuple[float, float]
-    llogl_norms: Tuple[float, float]
     primal_value: float
     entropy_term: float
     iterations: int
@@ -311,10 +321,6 @@ def _sweep_one(
         mu_d = smooth_marginal(mu, delta, ext)
         nu_d = smooth_marginal(nu, delta, ext)
         ent = (neg_entropy(mu_d), neg_entropy(nu_d))
-        norms = (
-            luxemburg_norm(mu_d, PHI_LOG).value,
-            luxemburg_norm(nu_d, PHI_LOG).value,
-        )
         grid = ext.extended
         s = mu_d.density > 0
         t = nu_d.density > 0
@@ -340,7 +346,6 @@ def _sweep_one(
             regularized_value=sol.cost,
             unregularized_reference=reference,
             entropy_of_smoothed_marginals=ent,
-            llogl_norms=norms,
             primal_value=report.primal_value,
             entropy_term=report.primal_value - sol.cost,
             iterations=report.iterations,
@@ -353,7 +358,6 @@ def _sweep_one(
             regularized_value=nan,
             unregularized_reference=reference,
             entropy_of_smoothed_marginals=(nan, nan),
-            llogl_norms=(nan, nan),
             primal_value=nan,
             entropy_term=nan,
             iterations=0,
@@ -386,16 +390,10 @@ def gamma_sweep(
     if not isinstance(cost, str):
         raise ParameterError("sweeps need a named cost rule, not a tabulated cost")
     fn = _resolve_cost(cost, convex_only=True)
-    h = ext.extended.h
     for g, d in schedule:
-        if not (0 < g < math.inf and 0 < d < math.inf):
-            raise ParameterError(f"schedule entries must be positive and finite, got ({g}, {d})")
-        if d > ext.margin + 1e-12:
-            raise ParameterError(f"delta = {d} exceeds the extension margin {ext.margin}")
-        if h > d / MIN_CELLS_PER_DELTA + 1e-12:
-            raise ParameterError(
-                f"grid (h = {h}) does not resolve delta = {d}; need h <= delta/{MIN_CELLS_PER_DELTA}"
-            )
+        if not 0 < g < math.inf:
+            raise ParameterError(f"gamma must be positive and finite, got {g}")
+        _check_delta(d, ext)
     reference = unregularized_ot_1d(mu, nu, cost)
     args = [
         (mu, nu, fn, reference, float(g), float(d), ext, tol, max_iter, mode)

@@ -115,17 +115,24 @@ def test_solve_nonconvergence_exit_code_and_report(tmp_path, marginal_files):
     assert json.loads(out.read_text())["converged"] is False
 
 
-def test_outputs_all_or_none_on_write_failure(tmp_path, marginal_files):
+@pytest.mark.parametrize(
+    "out, plan_is_dir",
+    [("nodir/report.json", False), ("report.json", True)],
+    ids=["missing-directory", "directory-target"],
+)
+def test_outputs_all_or_none_on_write_failure(tmp_path, marginal_files, out, plan_is_dir):
     mu, nu = marginal_files
     plan = tmp_path / "plan.csv"
+    if plan_is_dir:
+        plan.mkdir()
     code = run(
         ["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2",
-         "--out", str(tmp_path / "nodir" / "report.json"),
-         "--plan", str(plan), "--quiet"]
+         "--out", str(tmp_path / out), "--plan", str(plan), "--quiet"]
     )
     assert code == 6
-    assert not plan.exists()
-    assert list(tmp_path.glob(".entot-*")) == []
+    assert not (tmp_path / out).is_file()
+    assert not plan.is_file()
+    assert list(tmp_path.rglob(".entot-*")) == []
 
 
 def test_no_temp_file_left_when_a_write_fails(tmp_path, marginal_files, monkeypatch):
@@ -212,6 +219,22 @@ def test_check_optimality_rejects_measure_file_as_plan(marginal_files, capsys):
     assert "x,y,density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["entropy", "check-optimality", "solve"])
+def test_directory_as_input_file_is_parameter_error(tmp_path, marginal_files, capsys, command):
+    mu, nu = marginal_files
+    directory = tmp_path / "d"
+    directory.mkdir()
+    args = {
+        "entropy": ["--input", str(directory)],
+        "check-optimality": ["--mu", mu, "--nu", nu, "--gamma", "0.2", "--plan", str(directory)],
+        "solve": ["--mu", mu, "--nu", nu, "--gamma", "0.2", "--cost", f"file:{directory}",
+                  "--out", str(tmp_path / "r.json")],
+    }[command]
+    assert run([command, *args, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(directory) in err and "Traceback" not in err
+
+
 def test_short_csv_row_is_parameter_error(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("x,density\n0.25,1.0\n0.75\n")
@@ -250,6 +273,18 @@ def test_gamma_limit_csv_and_schedule_parsing(tmp_path):
     row = lines[1].split(",")
     assert float(row[0]) == 0.2 and float(row[1]) == 0.2
     assert float(row[3]) == 1.0
+
+
+def test_gamma_limit_negative_domain_joined_with_equals(tmp_path):
+    out = tmp_path / "gl.csv"
+    code = run(
+        ["gamma-limit", "--mu", "atoms:-0.5:1", "--nu", "atoms:0.5:1", "--domain=-1:1",
+         "--schedule", "pairs:0.2:0.2", "--n", "64", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",ok")
+    assert float(lines[1].split(",")[3]) == 1.0
 
 
 def test_gamma_limit_pairs_and_power_schedules():

@@ -234,7 +234,6 @@ def test_sweep_returns_points_in_schedule_order():
         assert p.primal_value == pytest.approx(
             p.regularized_value + p.entropy_term, rel=1e-10
         )
-        assert all(np.isfinite(v) for v in p.llogl_norms)
         assert all(np.isfinite(e) for e in p.entropy_of_smoothed_marginals)
 
 
@@ -290,6 +289,8 @@ def test_extend_and_sweep_refuse_non_finite_delta():
     for pair in ((0.2, nan), (nan, 0.2), (inf, 0.2)):
         with pytest.raises(ParameterError, match="finite"):
             gamma_sweep(mu, nu, "sqdist", [pair], ext)
+    with pytest.raises(ParameterError, match="finite"):
+        smooth_marginal(mu, nan, ext)
 
 
 def test_sweep_requires_named_cost():
