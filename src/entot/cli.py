@@ -432,7 +432,9 @@ def _solver_for(o: Dict[str, object]) -> Callable[[float], solver.SolveResult]:
     """Load --mu, --nu and --cost; return gamma -> the --mode solve at that gamma."""
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
-    cost = _build_cost(o["cost"], mu.grid, nu.grid)
+    cost = o["cost"]  # a rule name goes through, to be evaluated on the supports only
+    if cost not in solver.COST_RULES:
+        cost = _build_cost(cost, mu.grid, nu.grid)
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
     return lambda gamma: run(mu, nu, cost, gamma, tol=o["tol"], max_iter=o["max_iter"])
 

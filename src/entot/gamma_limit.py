@@ -25,7 +25,7 @@ import numpy as np
 from .measures import AtomicMeasure, Grid1D, GridMeasure
 from .orlicz import neg_entropy
 from . import solver
-from .solver import COST_RULES, ParameterError, SolverError
+from .solver import COST_RULES, ConvergenceError, ParameterError, SolverError
 
 __all__ = [
     "Mollifier",
@@ -98,7 +98,17 @@ class Mollifier:
         The midpoint samples are rescaled so that their weighted sum is
         exactly 1, making discrete convolution mass-preserving.
         """
-        vals = self(grid.centers - center)
+        first, window = self._window(grid, center)
+        vals = np.zeros(grid.n)
+        vals[first : first + window.size] = window
+        return vals
+
+    def _window(self, grid: Grid1D, center: float) -> Tuple[int, np.ndarray]:
+        """First cell and values of :meth:`grid_values` on the cells within delta of ``center``."""
+        first = min(max(math.floor((center - self.delta - grid.lo) / grid.h), 0), grid.n)
+        stop = min(max(math.ceil((center + self.delta - grid.lo) / grid.h) + 1, first), grid.n)
+        # the expression of Grid1D.centers, so that the samples match full-grid ones
+        vals = self(grid.lo + (np.arange(first, stop) + 0.5) * grid.h - center)
         total = vals.sum() * grid.h
         if total <= 0:
             raise ParameterError(
@@ -106,7 +116,7 @@ class Mollifier:
                 f"(h = {grid.h}); refine the grid"
             )
         vals /= total
-        return vals
+        return first, vals
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,9 @@ def smooth_marginal(
     out = np.zeros(grid.n)
     if isinstance(m, AtomicMeasure):
         for loc, mass in m.atoms:
-            vals = kernel.grid_values(grid, loc)
-            vals *= mass  # in place, as each temporary spans the extended grid
-            out += vals
+            first, vals = kernel._window(grid, loc)
+            vals *= mass
+            out[first : first + vals.size] += vals
     elif isinstance(m, GridMeasure):
         if abs(m.grid.h - grid.h) > 1e-12 * grid.h:
             raise ParameterError("grid measure and extended grid have different cell widths")
@@ -307,7 +317,7 @@ def power_schedule(
 def _sweep_one(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
-    fn: Callable,
+    cost: str,
     reference: float,
     gamma: float,
     delta: float,
@@ -317,52 +327,34 @@ def _sweep_one(
     mode: str,
 ) -> SweepPoint:
     nan = float("nan")
+    run = solver.solve if mode == "direct" else solver.solve_logdomain
     try:
         mu_d = smooth_marginal(mu, delta, ext)
         nu_d = smooth_marginal(nu, delta, ext)
         ent = (neg_entropy(mu_d), neg_entropy(nu_d))
-        grid = ext.extended
-        s = mu_d.density > 0
-        t = nu_d.density > 0
-        xs = grid.centers[s]
-        ys = grid.centers[t]
-        c_st = fn(xs[:, None], ys[None, :])
-        h = grid.h
-        # solved on the supports only: fine extended grids are far too large
-        # to tabulate a cost on their product
-        sol = solver._solve_support(
-            mu_d.density[s], nu_d.density[t], c_st, gamma, h, h, tol, max_iter, mode
-        )
-        report = sol.report
+        # the rule is evaluated on the supports only: fine extended grids
+        # are far too large to tabulate a cost on their product
+        report = run(mu_d, nu_d, cost, gamma, tol=tol, max_iter=max_iter).report
         status = "ok"
-        if not report.converged:
-            status = (
-                f"failed: no convergence in {max_iter} iterations "
-                f"(residual {report.residual_history[-1]:.3e})"
-            )
-        return SweepPoint(
-            gamma=gamma,
-            delta=delta,
-            regularized_value=sol.cost,
-            unregularized_reference=reference,
-            entropy_of_smoothed_marginals=ent,
-            primal_value=report.primal_value,
-            entropy_term=report.primal_value - sol.cost,
-            iterations=report.iterations,
-            status=status,
+    except ConvergenceError as exc:
+        report = exc.report
+        status = (
+            f"failed: no convergence in {max_iter} iterations "
+            f"(residual {report.residual_history[-1]:.3e})"
         )
     except (SolverError, ValueError) as exc:
-        return SweepPoint(
-            gamma=gamma,
-            delta=delta,
-            regularized_value=nan,
-            unregularized_reference=reference,
-            entropy_of_smoothed_marginals=(nan, nan),
-            primal_value=nan,
-            entropy_term=nan,
-            iterations=0,
-            status=f"failed: {exc}",
-        )
+        return SweepPoint(gamma, delta, nan, reference, (nan, nan), nan, nan, 0, f"failed: {exc}")
+    return SweepPoint(
+        gamma=gamma,
+        delta=delta,
+        regularized_value=report.transport_cost,
+        unregularized_reference=reference,
+        entropy_of_smoothed_marginals=ent,
+        primal_value=report.primal_value,
+        entropy_term=report.primal_value - report.transport_cost,
+        iterations=report.iterations,
+        status=status,
+    )
 
 
 def gamma_sweep(
@@ -389,14 +381,14 @@ def gamma_sweep(
         raise ParameterError("schedule must list at least one (gamma, delta) pair")
     if not isinstance(cost, str):
         raise ParameterError("sweeps need a named cost rule, not a tabulated cost")
-    fn = _resolve_cost(cost, convex_only=True)
+    _resolve_cost(cost, convex_only=True)
     for g, d in schedule:
         if not 0 < g < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {g}")
         _check_delta(d, ext)
     reference = unregularized_ot_1d(mu, nu, cost)
     args = [
-        (mu, nu, fn, reference, float(g), float(d), ext, tol, max_iter, mode)
+        (mu, nu, cost, reference, float(g), float(d), ext, tol, max_iter, mode)
         for g, d in schedule
     ]
     if threads > 1:

@@ -16,20 +16,21 @@ and equals the primal value at the joint optimum. Cells where a marginal
 vanishes carry scaling value 0 for the whole run, which reproduces the
 product support structure of the optimal plan exactly.
 
-One scaling loop serves :func:`solve`, :func:`solve_logdomain` and the
-sweeps of :mod:`entot.gamma_limit`. It runs on the supports only and
-iterates log a and log b; the mode picks only how it reduces the rows and
-columns of the kernel block, by a matvec with K in direct arithmetic
-(:func:`solve`) or by a max-subtracted log-sum-exp of log K
-(:func:`solve_logdomain`). The two honor the same contract and agree to
-near machine precision whenever direct arithmetic does not over- or
-underflow. The log-domain reduction is the default everywhere else in the
-package.
+One scaling loop serves :func:`solve` and :func:`solve_logdomain`, and
+through them every sweep. It runs on the supports only and iterates log a
+and log b; the mode picks only how it reduces the rows and columns of the
+kernel block, by a matvec with K in direct arithmetic (:func:`solve`) or
+by a max-subtracted log-sum-exp of log K (:func:`solve_logdomain`). The
+two honor the same contract and agree to near machine precision whenever
+direct arithmetic does not over- or underflow. The log-domain reduction is
+the default everywhere else in the package. A cost named by a rule of
+:data:`COST_RULES` is evaluated on the support centers only.
 
-One pass over the support block then builds the plan. Since
-c + gamma log pi = gamma (log a + log b) there, the primal and dual values,
-their gap and both marginal residuals follow from the plan's row and
-column sums. :func:`primal_value`, :func:`dual_value` and
+One pass over the support block then builds the plan and the report:
+since c + gamma log pi = gamma (log a + log b) there, the primal and dual
+values, their gap and both marginal residuals follow from the plan's row
+and column sums. The full-grid plan, dual state and potentials are built
+when first read. :func:`primal_value`, :func:`dual_value` and
 :func:`optimality_residual` compute the same quantities from full-grid
 plans and states, as independent references.
 """
@@ -37,7 +38,8 @@ plans and states, as independent references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -132,18 +134,13 @@ COST_RULES: dict = {"sqdist": _sqdist, "abs": _absdist}
 
 @dataclass(frozen=True, eq=False)
 class CostField:
-    """Cost values c(x_i, y_j) tabulated on a product grid.
-
-    ``rule`` names the closed-form rule the table was built from, or None
-    for file-based tables that admit no off-grid evaluation.
-    """
+    """Cost values c(x_i, y_j) tabulated on a product grid."""
 
     grid1: Grid1D
     grid2: Grid1D
     values: np.ndarray
-    rule: Optional[str] = None
 
-    def __init__(self, grid1: Grid1D, grid2: Grid1D, values, rule: Optional[str] = None):
+    def __init__(self, grid1: Grid1D, grid2: Grid1D, values):
         vals = np.array(values, dtype=float, copy=True)
         if vals.shape != (grid1.n, grid2.n):
             raise ParameterError(
@@ -157,16 +154,18 @@ class CostField:
         object.__setattr__(self, "grid1", grid1)
         object.__setattr__(self, "grid2", grid2)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "rule", rule)
+
+
+def _rule_values(rule: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The named cost rule at every pair of ``x`` (rows) and ``y`` (columns)."""
+    if not isinstance(rule, str) or rule not in COST_RULES:
+        raise ParameterError(f"unknown cost rule {rule!r}, expected one of {sorted(COST_RULES)}")
+    return COST_RULES[rule](x[:, None], y[None, :])
 
 
 def cost_field(grid1: Grid1D, grid2: Grid1D, rule: str) -> CostField:
     """Tabulate a named closed-form cost rule on the product grid."""
-    if rule not in COST_RULES:
-        raise ParameterError(f"unknown cost rule {rule!r}, expected one of {sorted(COST_RULES)}")
-    fn = COST_RULES[rule]
-    vals = fn(grid1.centers[:, None], grid2.centers[None, :])
-    return CostField(grid1, grid2, vals, rule)
+    return CostField(grid1, grid2, _rule_values(rule, grid1.centers, grid2.centers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +226,17 @@ class SolveReport:
     """Outcome record of one solve.
 
     ``residual_history`` lists the weighted L1 error of the unenforced
-    marginal after each scaling pass; ``optimality_residual`` is the pair
-    of marginal-equation residuals of the final state; ``gauge_constant``
-    is the factor the a-vector was divided by to normalize its integral
-    to 1.
+    marginal after each scaling pass; ``transport_cost`` is the part
+    sum_ij c_ij pi_ij h1 h2 of the primal value; ``optimality_residual``
+    is the pair of marginal-equation residuals of the final state;
+    ``gauge_constant`` is the factor the a-vector was divided by to
+    normalize its integral to 1.
     """
 
     iterations: int
     residual_history: Tuple[float, ...]
     primal_value: float
+    transport_cost: float
     dual_value: float
     gap: float
     optimality_residual: Tuple[float, float]
@@ -244,20 +245,50 @@ class SolveReport:
     mode: str
 
 
-class SolveResult(NamedTuple):
-    plan: TransportPlan
-    state: DualState
-    potentials: Potentials
-    report: SolveReport
+class SolveResult:
+    """The report of one solve, and its plan, dual state and potentials.
+
+    The solve builds the report. The plan, the gauge-normalized state and
+    the potentials live on the full grids and are built from the solution
+    on the supports when first read.
+    """
+
+    def __init__(self, report, grids, masks, log_ab, block, gamma):
+        self.report: SolveReport = report
+        # log a and log b on the supports that ``masks`` mark, the plan on their product
+        self._grids, self._masks, self._log_ab, self._block = grids, masks, log_ab, block
+        self._gamma = gamma
+
+    @cached_property
+    def state(self) -> DualState:
+        smask, tmask = self._masks
+        log_a = np.full(smask.size, -np.inf)
+        log_b = np.full(tmask.size, -np.inf)
+        log_a[smask], log_b[tmask] = self._log_ab
+        with np.errstate(over="ignore"):
+            return DualState(np.exp(log_a), np.exp(log_b), log_a, log_b)
+
+    @cached_property
+    def plan(self) -> TransportPlan:
+        smask, tmask = self._masks
+        values = self._block
+        if not (smask.all() and tmask.all()):
+            values = np.zeros((smask.size, tmask.size))
+            values[np.ix_(smask, tmask)] = self._block
+        return ProductDensity(*self._grids, values)
+
+    @cached_property
+    def potentials(self) -> Potentials:
+        return potentials_from_state(self.state, self._gamma)
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
-    """Max-subtracted log-sum-exp that tolerates all--inf slices."""
+    """Max-subtracted log-sum-exp that tolerates all--inf slices; overwrites m."""
     mx = np.max(m, axis=axis)
     safe = np.isfinite(mx)
-    shifted = m - np.expand_dims(np.where(safe, mx, 0.0), axis)
+    m -= np.expand_dims(np.where(safe, mx, 0.0), axis)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(np.sum(np.exp(shifted), axis=axis))
+        out = np.log(np.sum(np.exp(m, out=m), axis=axis))
     return np.where(safe, mx + out, -np.inf)
 
 
@@ -302,14 +333,6 @@ def _check_probability(m: GridMeasure, name: str) -> None:
         raise ParameterError(f"{name} must be a probability measure, has mass {mass!r}")
 
 
-class _SupportSolve(NamedTuple):
-    log_a: np.ndarray  # gauge-normalized, on supp mu only
-    log_b: np.ndarray  # on supp nu only
-    plan: np.ndarray  # the plan block on supp mu x supp nu
-    cost: float  # transport-cost part sum_ij c_ij pi_ij h1 h2
-    report: SolveReport
-
-
 def _denominators(log_d: np.ndarray, it: int, side: str) -> np.ndarray:
     """Pass finite log denominators through.
 
@@ -323,34 +346,46 @@ def _denominators(log_d: np.ndarray, it: int, side: str) -> np.ndarray:
     return log_d
 
 
-def _solve_support(
-    mu_s: np.ndarray,
-    nu_t: np.ndarray,
-    c_st: np.ndarray,
+def _solve(
+    mu: GridMeasure,
+    nu: GridMeasure,
+    c: Union[CostField, str],
     gamma: float,
-    h1: float,
-    h2: float,
     tol: float,
     max_iter: int,
     mode: str,
-) -> _SupportSolve:
-    """Scale on supp mu x supp nu, then read plan and report off one pass.
+) -> SolveResult:
+    """Check the inputs, scale on supp mu x supp nu, and read the report off one pass.
 
     The loop iterates log a and log b. ``mode`` picks only how it reduces
     the rows and columns of the kernel block: a matvec with exp(-c/gamma)
     in ``"direct"`` mode, a max-subtracted log-sum-exp of -c/gamma in
     ``"log"`` mode. Only direct arithmetic can over- or underflow, so only
-    it can leave a non-finite log denominator. Non-convergence is recorded
-    in the report, not raised.
+    it can leave a non-finite log denominator.
     """
+    _check_probability(mu, "mu")
+    _check_probability(nu, "nu")
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
+    smask = mu.density > 0
+    tmask = nu.density > 0
+    if isinstance(c, CostField):
+        if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
+            raise ParameterError("marginals and cost table live on different grids")
+        c_st = c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
+    else:
+        c_st = _rule_values(c, mu.grid.centers[smask], nu.grid.centers[tmask])
+    mu_s = mu.density[smask]
+    nu_t = nu.density[tmask]
+    h1, h2 = mu.grid.h, nu.grid.h
+
+    log_K = c_st / -gamma
     if mode == "direct":
-        K = np.exp(c_st / -gamma)
+        K = np.exp(log_K)
 
         def rows_of(log_b):
             return np.log(K @ np.exp(log_b) * h2)
@@ -359,14 +394,18 @@ def _solve_support(
             return np.log(K.T @ np.exp(log_a) * h1)
 
     else:
-        log_K = c_st / -gamma
         lh1, lh2 = np.log(h1), np.log(h2)
+        buf = np.empty_like(log_K)  # the one block-sized temporary of both reductions
 
         def rows_of(log_b):
-            return _logsumexp(log_K + log_b[None, :] + lh2, axis=1)
+            np.add(log_K, log_b[None, :], out=buf)
+            np.add(buf, lh2, out=buf)
+            return _logsumexp(buf, axis=1)
 
         def cols_of(log_a):
-            return _logsumexp(log_K + log_a[:, None] + lh1, axis=0)
+            np.add(log_K, log_a[:, None], out=buf)
+            np.add(buf, lh1, out=buf)
+            return _logsumexp(buf, axis=0)
 
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
@@ -390,8 +429,9 @@ def _solve_support(
     with np.errstate(over="ignore"):
         gauge_constant = float(np.exp(log_gauge))
 
-    # the one pass over the block: log pi = log a + log K + log b, in place
-    plan = c_st / -gamma
+    # the one pass over the block: log pi = log a + log K + log b, in the
+    # memory of log K, which the loop no longer needs
+    plan = log_K
     plan += log_a[:, None]
     plan += log_b[None, :]
     np.exp(plan, out=plan)
@@ -408,6 +448,7 @@ def _solve_support(
         iterations=len(residuals),
         residual_history=tuple(residuals),
         primal_value=primal,
+        transport_cost=float(np.vdot(c_st, plan)) * h1 * h2,
         dual_value=dual,
         gap=primal - dual,
         optimality_residual=(r1, r2),
@@ -415,56 +456,15 @@ def _solve_support(
         converged=converged,
         mode=mode,
     )
-    cost = float(np.vdot(c_st, plan)) * h1 * h2
-    return _SupportSolve(log_a, log_b, plan, cost, report)
-
-
-def _solve_grids(
-    mu: GridMeasure,
-    nu: GridMeasure,
-    c: CostField,
-    gamma: float,
-    tol: float,
-    max_iter: int,
-    mode: str,
-) -> SolveResult:
-    """Check the inputs, solve on the supports and embed the result in the grids."""
-    _check_probability(mu, "mu")
-    _check_probability(nu, "nu")
-    if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
-        raise ParameterError("marginals and cost table live on different grids")
-    smask = mu.density > 0
-    tmask = nu.density > 0
-    block = np.ix_(smask, tmask)
-    sol = _solve_support(
-        mu.density[smask],
-        nu.density[tmask],
-        c.values[block],
-        gamma,
-        mu.grid.h,
-        nu.grid.h,
-        tol,
-        max_iter,
-        mode,
-    )
-    if not sol.report.converged:
-        raise ConvergenceError(sol.report)
-    log_a = np.full(mu.grid.n, -np.inf)
-    log_b = np.full(nu.grid.n, -np.inf)
-    log_a[smask] = sol.log_a
-    log_b[tmask] = sol.log_b
-    with np.errstate(over="ignore"):
-        state = DualState(np.exp(log_a), np.exp(log_b), log_a, log_b)
-    plan_vals = np.zeros((mu.grid.n, nu.grid.n))
-    plan_vals[block] = sol.plan
-    plan = ProductDensity(mu.grid, nu.grid, plan_vals)
-    return SolveResult(plan, state, potentials_from_state(state, float(gamma)), sol.report)
+    if not converged:
+        raise ConvergenceError(report)
+    return SolveResult(report, (mu.grid, nu.grid), (smask, tmask), (log_a, log_b), plan, float(gamma))
 
 
 def solve(
     mu: GridMeasure,
     nu: GridMeasure,
-    c: CostField,
+    c: Union[CostField, str],
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
@@ -475,8 +475,10 @@ def solve(
     ----------
     mu, nu : GridMeasure
         Probability marginals (mass 1 within ``MASS_TOL``).
-    c : CostField
-        Nonnegative cost table on the product of the marginals' grids.
+    c : CostField or str
+        Nonnegative cost table on the product of the marginals' grids, or
+        the name of a rule in :data:`COST_RULES`, evaluated on the
+        supports of the marginals only.
     gamma : float
         Regularization weight, positive.
     tol : float
@@ -489,7 +491,8 @@ def solve(
     Returns
     -------
     SolveResult
-        Plan, gauge-normalized dual state, potentials, and report.
+        The report, and the plan, gauge-normalized dual state and
+        potentials, which are built when first read.
 
     Raises
     ------
@@ -499,13 +502,13 @@ def solve(
         If scaling vectors leave the double range (small gamma); the
         log-domain variant handles those instances.
     """
-    return _solve_grids(mu, nu, c, gamma, tol, max_iter, "direct")
+    return _solve(mu, nu, c, gamma, tol, max_iter, "direct")
 
 
 def solve_logdomain(
     mu: GridMeasure,
     nu: GridMeasure,
-    c: CostField,
+    c: Union[CostField, str],
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
@@ -517,7 +520,7 @@ def solve_logdomain(
     plan agrees with the direct mode to 1e-8 entrywise whenever the
     latter completes.
     """
-    return _solve_grids(mu, nu, c, gamma, tol, max_iter, "log")
+    return _solve(mu, nu, c, gamma, tol, max_iter, "log")
 
 
 def primal_value(plan: TransportPlan, c: CostField, gamma: float) -> float:

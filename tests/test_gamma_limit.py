@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entot.measures import AtomicMeasure, Grid1D, GridMeasure
+from entot import solver
 from entot.orlicz import neg_entropy
 from entot.solver import ParameterError, cost_field, solve_logdomain
 from entot.gamma_limit import (
@@ -114,6 +115,21 @@ def test_smooth_two_atoms_partial_masses():
     left_mass = float(sm.density[left].sum() * grid.h)
     assert left_mass == pytest.approx(0.3, abs=1e-9)
     assert sm.mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_smoothed_atoms_match_full_grid_kernel():
+    ext = extended()
+    grid = ext.extended
+    delta = 0.05
+    kernel = Mollifier(delta, grid.h)
+    # the two atoms' windows overlap
+    for atoms in ([(0.5, 1.0)], [(0.25, 0.3), (0.31, 0.7)]):
+        sm = smooth_marginal(AtomicMeasure(atoms), delta, ext)
+        expected = np.zeros(grid.n)
+        for loc, mass in atoms:
+            vals = kernel(grid.centers - loc)
+            expected += mass * vals / (vals.sum() * grid.h)
+        assert np.max(np.abs(sm.density - expected)) <= 1e-15 * np.max(expected)
 
 
 def test_smooth_grid_measure_preserves_mass():
@@ -267,8 +283,26 @@ def test_sweep_marks_failures_and_continues():
     points = simple_sweep([(0.2, 0.2), (0.1, 0.1)], max_iter=1)
     assert len(points) == 2
     assert all(p.status.startswith("failed") for p in points)
+    for p in points:
+        assert p.status.startswith("failed: no convergence in 1 iterations")
+        assert np.isfinite(p.regularized_value)
     ok = simple_sweep([(0.2, 0.2)], max_iter=1000)
     assert ok[0].status == "ok"
+
+
+def test_sweep_solves_through_the_public_solves(monkeypatch):
+    calls = {"solve": 0, "solve_logdomain": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _run=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    simple_sweep([(0.2, 0.2), (0.1, 0.1)])
+    assert calls == {"solve": 0, "solve_logdomain": 2}
+    simple_sweep([(0.2, 0.2)], mode="direct")
+    assert calls == {"solve": 1, "solve_logdomain": 2}
 
 
 def test_sweep_validates_grid_resolution():

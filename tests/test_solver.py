@@ -198,6 +198,21 @@ def test_primal_value_against_oracle():
             assert res.report.optimality_residual == pytest.approx(
                 optimality_residual(res.state, K, mu, nu), abs=1e-13
             )
+            cost = float(np.sum(c.values * res.plan.values) * mu.grid.h * nu.grid.h)
+            assert res.report.transport_cost == pytest.approx(cost, rel=1e-12)
+
+
+def test_rule_name_solve_matches_cost_field_solve():
+    for pair in (smooth_pair, holed_pair):
+        mu, nu, c = pair(seed=4)
+        for run in (solve, solve_logdomain):
+            by_table = run(mu, nu, c, 0.3)
+            by_name = run(mu, nu, "sqdist", 0.3)
+            assert by_name.report == by_table.report
+            assert np.array_equal(by_name.plan.values, by_table.plan.values)
+            assert np.array_equal(by_name.state.log_a, by_table.state.log_a)
+    with pytest.raises(ParameterError, match="unknown cost rule"):
+        solve_logdomain(mu, nu, "cubic", 0.3)
 
 
 def test_gauge_rescaling_leaves_plan_and_dual_alone():
@@ -324,6 +339,7 @@ def test_convergence_error_carries_report():
     assert rep.iterations == 3
     assert rep.mode == "log"
     assert len(rep.residual_history) == 3
+    assert np.isfinite(rep.transport_cost)
 
 
 def test_dual_value_minus_infinity_on_dead_support():
