@@ -208,7 +208,8 @@ _OPTIONS: Dict[str, _Option] = {
     "out_dir": _Option("directory prefixed to relative output paths"),
     "quiet": _Option("suppress progress output", bool),
     "threads": _Option(
-        "worker threads for sweeps (default 1, bitwise reproducible)", int, check=_positive
+        "worker threads for the points of gamma-limit; the other subcommands accept "
+        "and ignore it (default 1, bitwise reproducible)", int, check=_positive
     ),
     "mu": _Option(
         "first marginal: CSV with x,density rows; for gamma-limit atoms:loc:mass,...",
@@ -424,6 +425,8 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
         "gauge_constant": report.gauge_constant,
         "converged": report.converged,
         "mode": report.mode,
+        "absorptions": report.absorptions,
+        "fallbacks": report.fallbacks,
         "provenance": provenance,
     }
 

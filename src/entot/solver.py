@@ -17,13 +17,14 @@ vanishes carry scaling value 0 for the whole run, which reproduces the
 product support structure of the optimal plan exactly.
 
 One scaling loop serves :func:`solve` and :func:`solve_logdomain`, and
-through them every sweep. It runs on the supports only and iterates log a
-and log b; the mode picks only how it reduces the rows and columns of the
-kernel block, by a matvec with K in direct arithmetic (:func:`solve`) or
-by a max-subtracted log-sum-exp of log K (:func:`solve_logdomain`). The
-two honor the same contract and agree to near machine precision whenever
-direct arithmetic does not over- or underflow. The log-domain reduction is
-the default everywhere else in the package. A cost named by a rule of
+through them every sweep. It runs on the supports only, iterates log a
+and log b, and reduces the kernel block by matvecs with the stabilized
+kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519). In log
+mode, the default everywhere else in the package, f and g absorb log a
+and log b whenever these drift too far, and log-sum-exp passes cover the
+start and any pass that still over- or underflows; in direct mode
+f = g = 0. The two agree to near machine precision whenever direct
+arithmetic does not over- or underflow. A cost named by a rule of
 :data:`COST_RULES` is evaluated on the support centers only.
 
 One pass over the support block then builds the plan and the report:
@@ -230,7 +231,10 @@ class SolveReport:
     sum_ij c_ij pi_ij h1 h2 of the primal value; ``optimality_residual``
     is the pair of marginal-equation residuals of the final state;
     ``gauge_constant`` is the factor the a-vector was divided by to
-    normalize its integral to 1.
+    normalize its integral to 1. ``absorptions`` counts the builds of the
+    stabilized kernel in log mode, the first one included, and
+    ``fallbacks`` the passes redone by log-sum-exp; both are 0 in direct
+    mode.
     """
 
     iterations: int
@@ -243,6 +247,8 @@ class SolveReport:
     gauge_constant: float
     converged: bool
     mode: str
+    absorptions: int
+    fallbacks: int
 
 
 class SolveResult:
@@ -333,11 +339,17 @@ def _check_probability(m: GridMeasure, name: str) -> None:
         raise ParameterError(f"{name} must be a probability measure, has mass {mass!r}")
 
 
+#: how far log a or log b may drift from the absorbed potentials f and g
+#: before the kernel is rebuilt; the matvecs then see scalings within
+#: exp(30) ~ 1e13 of 1, far from over- and underflow
+_ABSORB_AT = 30.0
+
+
 def _denominators(log_d: np.ndarray, it: int, side: str) -> np.ndarray:
     """Pass finite log denominators through.
 
     -inf means a denominator vanished; +inf or NaN means direct arithmetic
-    overflowed, which the max-subtracted log-sum-exp cannot do.
+    overflowed, which log mode redoes by log-sum-exp before it gets here.
     """
     if not np.all(np.isfinite(log_d)):
         if np.any(log_d == -np.inf):
@@ -357,11 +369,15 @@ def _solve(
 ) -> SolveResult:
     """Check the inputs, scale on supp mu x supp nu, and read the report off one pass.
 
-    The loop iterates log a and log b. ``mode`` picks only how it reduces
-    the rows and columns of the kernel block: a matvec with exp(-c/gamma)
-    in ``"direct"`` mode, a max-subtracted log-sum-exp of -c/gamma in
-    ``"log"`` mode. Only direct arithmetic can over- or underflow, so only
-    it can leave a non-finite log denominator.
+    The loop reduces the block by matvecs with the stabilized kernel
+    exp(f (+) g - c/gamma): the log row denominators are
+    log(K @ exp(log b - g) h2) - f, the column ones likewise. ``"log"``
+    mode makes the first a-pass a log-sum-exp, since exp(-c/gamma) may
+    vanish on whole rows, and redoes by one any pass with non-finite
+    denominators; it absorbs log a and log b into f and g, rebuilding the
+    kernel, after the first pass and whenever they drift
+    :data:`_ABSORB_AT` away. ``"direct"`` mode keeps f = g = 0 and raises
+    on a non-finite denominator.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -384,28 +400,39 @@ def _solve(
     h1, h2 = mu.grid.h, nu.grid.h
 
     log_K = c_st / -gamma
-    if mode == "direct":
-        K = np.exp(log_K)
+    absorbing = mode == "log"
+    f = np.zeros_like(mu_s)
+    g = np.zeros_like(nu_t)
+    K = np.empty_like(log_K) if absorbing else np.exp(log_K)
+    absorptions = fallbacks = 0
 
-        def rows_of(log_b):
-            return np.log(K @ np.exp(log_b) * h2)
+    def reduce(log_v, it, side):
+        """Log row (side "a") or column (side "b") denominators of the block."""
+        nonlocal fallbacks
+        K_, log_K_, f_, g_, h = (K, log_K, f, g, h2) if side == "a" else (K.T, log_K.T, g, f, h1)
+        first = absorbing and not absorptions
+        if not first:
+            log_d = np.log(K_ @ np.exp(log_v - g_) * h) - f_
+            if not absorbing or np.all(np.isfinite(log_d)):
+                return _denominators(log_d, it, side)
+            fallbacks += 1
+        # the first pass runs in the memory of the kernel it is about to build
+        buf = K_ if first else np.empty_like(log_K_)
+        np.add(log_K_, log_v + np.log(h), out=buf)
+        return _denominators(_logsumexp(buf, axis=1), it, side)
 
-        def cols_of(log_a):
-            return np.log(K.T @ np.exp(log_a) * h1)
-
-    else:
-        lh1, lh2 = np.log(h1), np.log(h2)
-        buf = np.empty_like(log_K)  # the one block-sized temporary of both reductions
-
-        def rows_of(log_b):
-            np.add(log_K, log_b[None, :], out=buf)
-            np.add(buf, lh2, out=buf)
-            return _logsumexp(buf, axis=1)
-
-        def cols_of(log_a):
-            np.add(log_K, log_a[:, None], out=buf)
-            np.add(buf, lh1, out=buf)
-            return _logsumexp(buf, axis=0)
+    def absorb(log_a, log_b):
+        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift."""
+        nonlocal absorptions
+        if not absorbing or (
+            absorptions and max(np.max(np.abs(log_a - f)), np.max(np.abs(log_b - g))) <= _ABSORB_AT
+        ):
+            return
+        f[:], g[:] = log_a, log_b
+        np.add(log_K, f[:, None], out=K)
+        np.add(K, g, out=K)
+        np.exp(K, out=K)
+        absorptions += 1
 
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
@@ -414,13 +441,15 @@ def _solve(
     converged = False
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            log_a = log_mu - _denominators(rows_of(log_b), it, "a")
-            s = _denominators(cols_of(log_a), it, "b")
+            log_a = log_mu - reduce(log_b, it, "a")
+            absorb(log_a, log_b)
+            s = reduce(log_a, it, "b")
             residuals.append(float(np.abs(np.exp(log_b + s) - nu_t).sum() * h2))
             if residuals[-1] <= tol:
                 converged = True
                 break
             log_b = log_nu - s
+            absorb(log_a, log_b)
 
     # gauge: divide a by its integral so that sum_i a_i h1 = 1
     log_gauge = _logsumexp(log_a + np.log(h1), axis=0)
@@ -455,6 +484,8 @@ def _solve(
         gauge_constant=gauge_constant,
         converged=converged,
         mode=mode,
+        absorptions=absorptions,
+        fallbacks=fallbacks,
     )
     if not converged:
         raise ConvergenceError(report)
@@ -513,12 +544,13 @@ def solve_logdomain(
     tol: float = 1e-9,
     max_iter: int = 100000,
 ) -> SolveResult:
-    """Same contract as :func:`solve`, iterated on logarithms.
+    """Same contract as :func:`solve`, stabilized by absorption.
 
-    Updates log a_i = log mu_i - logsumexp_j(log K_ij + log b_j + log h2)
-    with max-subtraction, so small gamma cannot overflow the kernel. The
-    plan agrees with the direct mode to 1e-8 entrywise whenever the
-    latter completes.
+    The matvecs run on exp(f (+) g - c/gamma), where f and g absorb log a
+    and log b whenever these drift 30 away; the first pass and any
+    non-finite one are log-sum-exps. So small gamma cannot overflow the
+    kernel. The plan agrees with the direct mode to 1e-8 entrywise
+    whenever the latter completes.
     """
     return _solve(mu, nu, c, gamma, tol, max_iter, "log")
 

@@ -152,3 +152,25 @@ def permutation_ot(points_a, points_b, cost_fn):
         total = sum(cost_fn(xs[i], ys[perm[i]]) for i in range(len(xs))) * m
         best = min(best, total)
     return float(best)
+
+
+def sinkhorn_logsumexp(cost, mu, nu, gamma, h1, h2, tol, max_iter=100000):
+    """Plain log-domain Sinkhorn, every pass a max-subtracted log-sum-exp.
+
+    Starts from b = 1 and stops once the weighted L1 error of the second
+    marginal after an a-pass is at most tol. Returns (plan, iterations).
+    """
+    log_k = -np.asarray(cost, dtype=float) / gamma
+
+    def lse(m, axis):
+        top = np.max(m, axis=axis, keepdims=True)
+        return np.squeeze(top + np.log(np.sum(np.exp(m - top), axis=axis, keepdims=True)), axis)
+
+    log_b = np.zeros(len(nu))
+    for it in range(1, max_iter + 1):
+        log_a = np.log(mu) - lse(log_k + log_b[None, :] + np.log(h2), 1)
+        col = lse(log_k + log_a[:, None] + np.log(h1), 0)
+        if np.sum(np.abs(np.exp(log_b + col) - nu)) * h2 <= tol:
+            break
+        log_b = np.log(nu) - col
+    return np.exp(log_a[:, None] + log_k + log_b[None, :]), it

@@ -91,6 +91,7 @@ def test_solve_writes_report_with_fixed_keys(tmp_path, marginal_files):
     ):
         assert key in report
     assert report["converged"] is True
+    assert report["absorptions"] >= 1 and report["fallbacks"] == 0
     assert report["provenance"]["gamma"] == "flag"
 
 

@@ -320,6 +320,43 @@ def test_direct_and_log_agree():
     assert np.max(np.abs(p_direct - p_log)) <= 1e-8
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.01, 0.001])
+def test_log_mode_matches_logsumexp_oracle(gamma):
+    g = unit_grid(64)
+    x = g.centers
+    mu = GridMeasure(g, np.exp(-((x - 0.3) ** 2) / 0.02) + 0.1, renormalize=True)
+    nu = GridMeasure(g, np.exp(-((x - 0.7) ** 2) / 0.02) + 0.1, renormalize=True)
+    c = cost_field(g, g, "sqdist")
+    res = solve_logdomain(mu, nu, c, gamma)
+    plan, iterations = oracles.sinkhorn_logsumexp(
+        c.values, mu.density, nu.density, gamma, g.h, g.h, tol=1e-9
+    )
+    assert res.report.iterations == iterations
+    assert np.max(np.abs(res.plan.values - plan)) <= 1e-12 * plan.max()
+    assert res.report.fallbacks == 0
+    if gamma == 0.001:
+        # the potentials drift far from the first pass's: the kernel is rebuilt
+        assert res.report.absorptions >= 2
+
+
+def test_log_mode_falls_back_where_the_stabilized_kernel_underflows():
+    g1, g2 = unit_grid(2), unit_grid(3)
+    mu = GridMeasure(g1, np.ones(2))
+    nu = GridMeasure(g2, np.ones(3))
+    # exp(-10 / 0.01) is 0 in double: the third column vanishes until absorbed
+    c = CostField(g1, g2, [[0.0, 0.1, 10.0], [0.1, 0.0, 10.0]])
+    res = solve_logdomain(mu, nu, c, 0.01)
+    rep = res.report
+    assert rep.fallbacks >= 1
+    assert np.all(np.isfinite(res.plan.values))
+    assert max(rep.optimality_residual) <= 1e-9
+    plan, iterations = oracles.sinkhorn_logsumexp(
+        c.values, mu.density, nu.density, 0.01, g1.h, g2.h, tol=1e-9
+    )
+    assert rep.iterations == iterations
+    assert np.max(np.abs(res.plan.values - plan)) <= 1e-12 * plan.max()
+
+
 def test_direct_mode_overflows_at_tiny_gamma():
     mu, nu, c = smooth_pair(n=64, seed=13)
     with pytest.raises((DirectOverflowError, DivergedScalingError)) as err:
