@@ -363,9 +363,12 @@ def emit_files(outputs: Dict[str, str]) -> None:
 
     Content is staged to temporary files in the target directories first;
     only after every stage succeeds are the files moved into place. A
-    target that is an existing directory is refused before any move.
+    target that is an existing directory is refused before any move; if a
+    later move fails, the targets already moved get their previous bytes
+    back, or are removed if they did not exist.
     """
     staged: List[Tuple[str, str]] = []
+    moved: List[Tuple[str, Optional[bytes]]] = []  # each moved target, its previous bytes
     try:
         for path, text in outputs.items():
             if os.path.isdir(path):
@@ -378,12 +381,26 @@ def emit_files(outputs: Dict[str, str]) -> None:
             staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-        while staged:
-            tmp, path = staged[0]
+        for tmp, path in staged:
+            previous = None
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    previous = fh.read()
             os.replace(tmp, path)
-            staged.pop(0)
+            moved.append((path, previous))
+    except OSError:
+        for path, previous in reversed(moved):
+            try:
+                if previous is None:
+                    os.unlink(path)
+                else:
+                    with open(path, "wb") as fh:
+                        fh.write(previous)
+            except OSError:
+                pass
+        raise
     finally:
-        for tmp, _ in staged:
+        for tmp, _ in staged[len(moved):]:
             try:
                 os.unlink(tmp)
             except OSError:
@@ -448,13 +465,13 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
     code = EXIT_OK
     try:
         result = solve(o["gamma"])
-        plan, report = result.plan, result.report
+        report = result.report
     except solver.ConvergenceError as exc:
-        report, plan, code = exc.report, None, EXIT_FAILED
+        result, report, code = None, exc.report, EXIT_FAILED
 
     outputs = {_resolve_out(o["out"], o["out_dir"]): _json_text(_report_dict(report, cfg.provenance))}
-    if o["plan"] is not None and plan is not None:
-        outputs[_resolve_out(o["plan"], o["out_dir"])] = measures._product_csv_text(plan)
+    if o["plan"] is not None and result is not None:
+        outputs[_resolve_out(o["plan"], o["out_dir"])] = measures._product_csv_text(result.plan)
     emit_files(outputs)
     if not o["quiet"]:
         state = "converged" if report.converged else "did NOT converge"

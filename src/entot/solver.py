@@ -20,18 +20,19 @@ One scaling loop serves :func:`solve` and :func:`solve_logdomain`, and
 through them every sweep. It runs on the supports only, iterates log a
 and log b, and reduces the kernel block by matvecs with the stabilized
 kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519). In log
-mode, the default everywhere else in the package, f and g absorb log a
-and log b whenever these drift too far, and log-sum-exp passes cover the
-start and any pass that still over- or underflows; in direct mode
-f = g = 0. The two agree to near machine precision whenever direct
-arithmetic does not over- or underflow. A cost named by a rule of
-:data:`COST_RULES` is evaluated on the support centers only.
+mode, the default everywhere else in the package, f starts at
+-max_j log K_ij, f and g absorb log a and log b whenever these drift too
+far, and a pass that still over- or underflows is redone by log-sum-exp;
+in direct mode f = g = 0. The two agree to near machine precision
+whenever direct arithmetic does not over- or underflow. A cost named by a
+rule of :data:`COST_RULES` is evaluated on the support centers only.
 
-One pass over the support block then builds the plan and the report:
-since c + gamma log pi = gamma (log a + log b) there, the primal and dual
-values, their gap and both marginal residuals follow from the plan's row
-and column sums. The full-grid plan, dual state and potentials are built
-when first read. :func:`primal_value`, :func:`dual_value` and
+The report comes from the loop's last passes: since c + gamma log pi =
+gamma (log a + log b) on the block, the primal and dual values, their gap
+and both marginal residuals follow from the plan's row and column sums,
+which those passes' denominators give. The transport cost is one more
+matvec. The plan, dual state and potentials are built when first read.
+:func:`primal_value`, :func:`dual_value` and
 :func:`optimality_residual` compute the same quantities from full-grid
 plans and states, as independent references.
 """
@@ -231,10 +232,10 @@ class SolveReport:
     sum_ij c_ij pi_ij h1 h2 of the primal value; ``optimality_residual``
     is the pair of marginal-equation residuals of the final state;
     ``gauge_constant`` is the factor the a-vector was divided by to
-    normalize its integral to 1. ``absorptions`` counts the builds of the
-    stabilized kernel in log mode, the first one included, and
-    ``fallbacks`` the passes redone by log-sum-exp; both are 0 in direct
-    mode.
+    normalize its integral to 1. ``absorptions`` counts how often log mode
+    folded log a and log b into the stabilized kernel, the fold after the
+    first a-pass included, and ``fallbacks`` the passes redone by log-sum-exp;
+    both are 0 in direct mode.
     """
 
     iterations: int
@@ -259,10 +260,10 @@ class SolveResult:
     on the supports when first read.
     """
 
-    def __init__(self, report, grids, masks, log_ab, block, gamma):
+    def __init__(self, report, grids, masks, log_ab, cost, gamma):
         self.report: SolveReport = report
-        # log a and log b on the supports that ``masks`` mark, the plan on their product
-        self._grids, self._masks, self._log_ab, self._block = grids, masks, log_ab, block
+        # log a and log b on the supports that ``masks`` mark, the cost on their product
+        self._grids, self._masks, self._log_ab, self._cost = grids, masks, log_ab, cost
         self._gamma = gamma
 
     @cached_property
@@ -277,10 +278,15 @@ class SolveResult:
     @cached_property
     def plan(self) -> TransportPlan:
         smask, tmask = self._masks
-        values = self._block
+        log_a, log_b = self._log_ab
+        # log pi = (log K + log a) + log b on the supports
+        values = block = self._cost / -self._gamma
+        block += log_a[:, None]
+        block += log_b
+        np.exp(block, out=block)
         if not (smask.all() and tmask.all()):
             values = np.zeros((smask.size, tmask.size))
-            values[np.ix_(smask, tmask)] = self._block
+            values[np.ix_(smask, tmask)] = block
         return ProductDensity(*self._grids, values)
 
     @cached_property
@@ -345,19 +351,6 @@ def _check_probability(m: GridMeasure, name: str) -> None:
 _ABSORB_AT = 30.0
 
 
-def _denominators(log_d: np.ndarray, it: int, side: str) -> np.ndarray:
-    """Pass finite log denominators through.
-
-    -inf means a denominator vanished; +inf or NaN means direct arithmetic
-    overflowed, which log mode redoes by log-sum-exp before it gets here.
-    """
-    if not np.all(np.isfinite(log_d)):
-        if np.any(log_d == -np.inf):
-            raise DivergedScalingError(it, side)
-        raise DirectOverflowError(it)
-    return log_d
-
-
 def _solve(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -367,17 +360,18 @@ def _solve(
     max_iter: int,
     mode: str,
 ) -> SolveResult:
-    """Check the inputs, scale on supp mu x supp nu, and read the report off one pass.
+    """Check the inputs, scale on supp mu x supp nu, and report from the last passes.
 
     The loop reduces the block by matvecs with the stabilized kernel
-    exp(f (+) g - c/gamma): the log row denominators are
-    log(K @ exp(log b - g) h2) - f, the column ones likewise. ``"log"``
-    mode makes the first a-pass a log-sum-exp, since exp(-c/gamma) may
-    vanish on whole rows, and redoes by one any pass with non-finite
-    denominators; it absorbs log a and log b into f and g, rebuilding the
-    kernel, after the first pass and whenever they drift
-    :data:`_ABSORB_AT` away. ``"direct"`` mode keeps f = g = 0 and raises
-    on a non-finite denominator.
+    exp(f (+) g - c/gamma), which one closure builds in both modes: the log
+    row denominators are log(K @ exp(log b - g) h2) - f, the column ones
+    likewise. ``"log"`` mode starts from f = -max_j log K_ij and g = 0,
+    absorbs log a and log b into f and g, rebuilding the kernel, after the
+    first pass and whenever they drift :data:`_ABSORB_AT` away, and redoes
+    by log-sum-exp any pass with non-finite denominators. ``"direct"`` mode
+    keeps f = g = 0 and raises on a non-finite denominator. Each iteration
+    opens with the b-update of the one before, so the loop stops on the
+    iterate its last residual measured.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -399,57 +393,74 @@ def _solve(
     nu_t = nu.density[tmask]
     h1, h2 = mu.grid.h, nu.grid.h
 
-    log_K = c_st / -gamma
     absorbing = mode == "log"
-    f = np.zeros_like(mu_s)
+    # log mode starts from f = -max_j log K_ij, so that every kernel row holds a 1
+    f = c_st.min(axis=1) / gamma if absorbing else np.zeros_like(mu_s)
     g = np.zeros_like(nu_t)
-    K = np.empty_like(log_K) if absorbing else np.exp(log_K)
+    K = np.empty(c_st.shape)
     absorptions = fallbacks = 0
+
+    def build():
+        """The stabilized kernel exp((-c/gamma + f) + g), in the memory of K."""
+        np.divide(c_st, -gamma, out=K)
+        np.add(K, f[:, None], out=K)
+        np.add(K, g, out=K)
+        np.exp(K, out=K)
 
     def reduce(log_v, it, side):
         """Log row (side "a") or column (side "b") denominators of the block."""
         nonlocal fallbacks
-        K_, log_K_, f_, g_, h = (K, log_K, f, g, h2) if side == "a" else (K.T, log_K.T, g, f, h1)
-        first = absorbing and not absorptions
-        if not first:
-            log_d = np.log(K_ @ np.exp(log_v - g_) * h) - f_
-            if not absorbing or np.all(np.isfinite(log_d)):
-                return _denominators(log_d, it, side)
+        K_, c_, f_, g_, h = (K, c_st, f, g, h2) if side == "a" else (K.T, c_st.T, g, f, h1)
+        log_d = np.log(K_ @ np.exp(log_v - g_) * h) - f_
+        if absorbing and not np.all(np.isfinite(log_d)):
             fallbacks += 1
-        # the first pass runs in the memory of the kernel it is about to build
-        buf = K_ if first else np.empty_like(log_K_)
-        np.add(log_K_, log_v + np.log(h), out=buf)
-        return _denominators(_logsumexp(buf, axis=1), it, side)
+            m = c_ / -gamma
+            m += log_v + np.log(h)
+            log_d = _logsumexp(m, axis=1)
+        if not np.all(np.isfinite(log_d)):  # -inf: vanished; +inf or NaN: overflowed
+            if np.any(log_d == -np.inf):
+                raise DivergedScalingError(it, side)
+            raise DirectOverflowError(it)
+        return log_d
 
     def absorb(log_a, log_b):
         """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift."""
         nonlocal absorptions
-        if not absorbing or (
-            absorptions and max(np.max(np.abs(log_a - f)), np.max(np.abs(log_b - g))) <= _ABSORB_AT
+        if absorbing and (
+            not absorptions or max(np.max(np.abs(log_a - f)), np.max(np.abs(log_b - g))) > _ABSORB_AT
         ):
-            return
-        f[:], g[:] = log_a, log_b
-        np.add(log_K, f[:, None], out=K)
-        np.add(K, g, out=K)
-        np.exp(K, out=K)
-        absorptions += 1
+            f[:], g[:] = log_a, log_b
+            build()
+            absorptions += 1
 
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
     log_b = np.zeros_like(nu_t)
     residuals: list = []
-    converged = False
+    build()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            log_a = log_mu - reduce(log_b, it, "a")
+            if it > 1:
+                log_b = log_nu - col
+                absorb(log_a, log_b)
+            row = reduce(log_b, it, "a")
+            log_a = log_mu - row
             absorb(log_a, log_b)
-            s = reduce(log_a, it, "b")
-            residuals.append(float(np.abs(np.exp(log_b + s) - nu_t).sum() * h2))
+            col = reduce(log_a, it, "b")
+            colmarg = np.exp(log_b + col)
+            residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
             if residuals[-1] <= tol:
-                converged = True
                 break
-            log_b = log_nu - s
-            absorb(log_a, log_b)
+
+    # pi = exp(log a - f) K exp(log b - g): the cost part is one matvec with
+    # c o K, formed in the memory of K, which the loop no longer needs
+    K *= c_st
+    cost = float(np.exp(log_a - f) @ (K @ np.exp(log_b - g))) * h1 * h2
+    # the plan's row sums come from the last a-pass; its column sums are
+    # the ones the last residual measured
+    rowmarg = np.exp(log_a + row)
+    mass = float(rowmarg.sum() * h1)
+    r1 = float(np.abs(rowmarg - mu_s).sum() * h1)
 
     # gauge: divide a by its integral so that sum_i a_i h1 = 1
     log_gauge = _logsumexp(log_a + np.log(h1), axis=0)
@@ -458,38 +469,27 @@ def _solve(
     with np.errstate(over="ignore"):
         gauge_constant = float(np.exp(log_gauge))
 
-    # the one pass over the block: log pi = log a + log K + log b, in the
-    # memory of log K, which the loop no longer needs
-    plan = log_K
-    plan += log_a[:, None]
-    plan += log_b[None, :]
-    np.exp(plan, out=plan)
-    rowmarg = plan.sum(axis=1) * h2
-    colmarg = plan.sum(axis=0) * h1
-    mass = float(rowmarg.sum() * h1)
     # c + gamma log pi = gamma (log a + log b) on the block, so the primal
     # sum (c pi + gamma pi (log pi - 1)) h1 h2 needs only the marginals
     primal = gamma * (float(log_a @ rowmarg) * h1 + float(log_b @ colmarg) * h2 - mass)
     dual = -gamma * (mass - float(log_a @ mu_s) * h1 - float(log_b @ nu_t) * h2)
-    r1 = float(np.abs(rowmarg - mu_s).sum() * h1)
-    r2 = float(np.abs(colmarg - nu_t).sum() * h2)
     report = SolveReport(
         iterations=len(residuals),
         residual_history=tuple(residuals),
         primal_value=primal,
-        transport_cost=float(np.vdot(c_st, plan)) * h1 * h2,
+        transport_cost=cost,
         dual_value=dual,
         gap=primal - dual,
-        optimality_residual=(r1, r2),
+        optimality_residual=(r1, residuals[-1]),
         gauge_constant=gauge_constant,
-        converged=converged,
+        converged=residuals[-1] <= tol,
         mode=mode,
         absorptions=absorptions,
         fallbacks=fallbacks,
     )
-    if not converged:
+    if not report.converged:
         raise ConvergenceError(report)
-    return SolveResult(report, (mu.grid, nu.grid), (smask, tmask), (log_a, log_b), plan, float(gamma))
+    return SolveResult(report, (mu.grid, nu.grid), (smask, tmask), (log_a, log_b), c_st, float(gamma))
 
 
 def solve(
@@ -546,10 +546,10 @@ def solve_logdomain(
 ) -> SolveResult:
     """Same contract as :func:`solve`, stabilized by absorption.
 
-    The matvecs run on exp(f (+) g - c/gamma), where f and g absorb log a
-    and log b whenever these drift 30 away; the first pass and any
-    non-finite one are log-sum-exps. So small gamma cannot overflow the
-    kernel. The plan agrees with the direct mode to 1e-8 entrywise
+    The matvecs run on exp(f (+) g - c/gamma), where f starts at
+    -max_j log K_ij and f and g absorb log a and log b whenever these drift
+    30 away; a pass with non-finite denominators is redone by log-sum-exp.
+    So small gamma cannot overflow the kernel. The plan agrees with the direct mode to 1e-8 entrywise
     whenever the latter completes.
     """
     return _solve(mu, nu, c, gamma, tol, max_iter, "log")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from entot import cli
+from entot import cli, solver
 from entot.measures import (
     Grid1D,
     GridMeasure,
@@ -134,6 +134,50 @@ def test_outputs_all_or_none_on_write_failure(tmp_path, marginal_files, out, pla
     assert not (tmp_path / out).is_file()
     assert not plan.is_file()
     assert list(tmp_path.rglob(".entot-*")) == []
+
+
+@pytest.mark.parametrize("previous", [b"previous report\n", None], ids=["restored", "removed"])
+def test_outputs_all_or_none_when_a_later_move_fails(tmp_path, marginal_files, monkeypatch, previous):
+    mu, nu = marginal_files
+    report = tmp_path / "report.json"
+    plan = tmp_path / "plan.csv"
+    if previous is not None:
+        report.write_bytes(previous)
+    real_replace = os.replace
+    moves = []
+
+    def replace(src, dst):
+        moves.append(dst)
+        if len(moves) == 2:
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code = run(
+        ["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2",
+         "--out", str(report), "--plan", str(plan), "--quiet"]
+    )
+    assert code == 6
+    assert moves == [str(report), str(plan)]
+    if previous is None:
+        assert not report.exists()
+    else:
+        assert report.read_bytes() == previous
+    assert not plan.exists()
+    assert list(tmp_path.rglob(".entot-*")) == []
+
+
+def test_solve_builds_the_plan_only_for_plan_flag(tmp_path, marginal_files, monkeypatch):
+    mu, nu = marginal_files
+
+    def unread(self):
+        pytest.fail("solve read the plan without --plan")
+
+    monkeypatch.setattr(solver.SolveResult, "plan", property(unread))
+    out = tmp_path / "report.json"
+    code = run(["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--out", str(out), "--quiet"])
+    assert code == 0
+    assert json.loads(out.read_text())["converged"] is True
 
 
 def test_no_temp_file_left_when_a_write_fails(tmp_path, marginal_files, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,14 +186,14 @@ def holed_pair(n=32, seed=0):
 
 
 def test_primal_value_against_oracle():
-    for pair in (smooth_pair, holed_pair):
+    for gamma, pair in itertools.product((0.7, 0.01, 0.003), (smooth_pair, holed_pair)):
         mu, nu, c = pair(seed=3)
-        K = gibbs_kernel(c, 0.7)
+        K = gibbs_kernel(c, gamma)
         for run in (solve, solve_logdomain):
-            res = run(mu, nu, c, 0.7)
-            ref = oracles.primal_objective(res.plan.values, c.values, 0.7, mu.grid.h, nu.grid.h)
+            res = run(mu, nu, c, gamma)
+            ref = oracles.primal_objective(res.plan.values, c.values, gamma, mu.grid.h, nu.grid.h)
             assert res.report.primal_value == pytest.approx(ref, rel=1e-12)
-            assert primal_value(res.plan, c, 0.7) == pytest.approx(ref, rel=1e-12)
+            assert primal_value(res.plan, c, gamma) == pytest.approx(ref, rel=1e-12)
             assert res.report.dual_value == pytest.approx(
                 dual_value(res.state, K, mu, nu), abs=1e-13
             )
@@ -200,6 +202,10 @@ def test_primal_value_against_oracle():
             )
             cost = float(np.sum(c.values * res.plan.values) * mu.grid.h * nu.grid.h)
             assert res.report.transport_cost == pytest.approx(cost, rel=1e-12)
+            # the report describes the iterate the last residual measured
+            assert res.report.optimality_residual[1] == res.report.residual_history[-1]
+            if run is solve_logdomain and pair is smooth_pair and gamma == 0.003:
+                assert res.report.absorptions >= 2  # the report is read off a rebuilt kernel
 
 
 def test_rule_name_solve_matches_cost_field_solve():
@@ -377,6 +383,8 @@ def test_convergence_error_carries_report():
     assert rep.mode == "log"
     assert len(rep.residual_history) == 3
     assert np.isfinite(rep.transport_cost)
+    # the report describes the iterate the loop stopped on, not a later b-pass
+    assert rep.optimality_residual[1] == rep.residual_history[-1]
 
 
 def test_dual_value_minus_infinity_on_dead_support():
