@@ -17,11 +17,13 @@ for --n, --max-iter and --threads, true or false for --quiet, a list of
 numbers or a string for --gammas, and a string otherwise. Booleans are not
 numbers. A string given for a numeric option is read as the flag's text,
 and null is accepted only for an option that is unset by default, such as
-solve's --plan. Any other value is an invalid parameter. Outputs are
-written atomically (all files appear, or none). Exit codes: 0 success,
-2 usage, 3 invalid parameter or an input that exists but cannot be read,
-4 missing input file, 5 computation failed or did not converge, 6 output
-write failure.
+solve's --plan. Any other value is an invalid parameter. So are a
+non-finite --gamma, --gammas value or --tol, an empty output path (--out,
+and solve's --plan), and a cost file or stored plan whose grids are not
+those of --mu and --nu. Outputs are written atomically (all files appear,
+or none). Exit codes: 0 success, 2 usage, 3 invalid parameter or an input
+that exists but cannot be read, 4 missing input file, 5 computation failed
+or did not converge, 6 output write failure.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
 check), and each subcommand once, in ``_COMMANDS`` (help, handler and the
@@ -152,8 +154,13 @@ def _existing_file(path: str) -> None:
 
 
 def _positive(value) -> None:
-    if not value > 0:
-        raise ValueError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value}")
+
+
+def _output_path(path: str) -> None:
+    if not path:
+        raise ValueError("must be a non-empty path")
 
 
 def _cost_rule(cost: str) -> None:
@@ -170,8 +177,8 @@ def _convex_cost_rule(cost: str) -> None:
 
 def _gamma_list(text) -> None:
     gammas = _parse_floats(text)
-    if not gammas or any(g <= 0 for g in gammas):
-        raise ValueError(f"must list positive values, got {text}")
+    if not gammas or not all(0 < g < math.inf for g in gammas):
+        raise ValueError(f"must list positive finite values, got {text}")
 
 
 #: marks an option a subcommand requires, which therefore has no default;
@@ -237,8 +244,10 @@ _OPTIONS: Dict[str, _Option] = {
     ),
     "max_iter": _Option("iteration cap of each solve", int, check=_positive),
     "mode": _Option("scaling arithmetic", choices=("log", "direct")),
-    "out": _Option("output path: JSON report, or CSV for the sweeps"),
-    "plan": _Option("plan CSV (x,y,density) that solve writes and check-optimality reads"),
+    "out": _Option("output path: JSON report, or CSV for the sweeps", check=_output_path),
+    "plan": _Option(
+        "plan CSV (x,y,density) that solve writes and check-optimality reads", check=_output_path
+    ),
     "young": _Option("Young function of the norm", choices=tuple(_YOUNG)),
     "input": _Option("CSV with x,density rows", check=_existing_file),
 }
@@ -424,11 +433,27 @@ def _load_measure(path: str) -> measures.GridMeasure:
     return _read(measures.read_measure_csv, path, "input")
 
 
-def _build_cost(descriptor: str, g1, g2) -> solver.CostField:
+def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
+    """Exit 3 unless the grids of a table read from CSV are those of --mu and --nu."""
+    for key, grid, m in (("mu", table.grid1, mu), ("nu", table.grid2, nu)):
+        # the grids are rebuilt from printed centers, so match them to a fraction of a cell
+        if grid.n != m.grid.n or not np.allclose(
+            grid.centers, m.grid.centers, rtol=0, atol=1e-6 * m.grid.h
+        ):
+            raise CliError(
+                EXIT_PARAM,
+                f"{what} grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) does not match "
+                f"--{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
+            )
+
+
+def _build_cost(descriptor: str, mu, nu, grids) -> solver.CostField:
+    """--cost tabulated on ``grids``; a cost file must be on the grids of --mu and --nu."""
     if descriptor.startswith("file:"):
         table = _read(measures.read_product_csv, descriptor[5:], "cost")
-        return solver.CostField(g1, g2, table.values)
-    return solver.cost_field(g1, g2, descriptor)
+        _match_grids("cost", table, mu, nu)
+        return solver.CostField(*grids, table.values)
+    return solver.cost_field(*grids, descriptor)
 
 
 def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict:
@@ -454,7 +479,7 @@ def _solver_for(o: Dict[str, object]) -> Callable[[float], solver.SolveResult]:
     nu = _load_measure(o["nu"])
     cost = o["cost"]  # a rule name goes through, to be evaluated on the supports only
     if cost not in solver.COST_RULES:
-        cost = _build_cost(cost, mu.grid, nu.grid)
+        cost = _build_cost(cost, mu, nu, (mu.grid, nu.grid))
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
     return lambda gamma: run(mu, nu, cost, gamma, tol=o["tol"], max_iter=o["max_iter"])
 
@@ -572,17 +597,8 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
     plan = _read(measures.read_product_csv, o["plan"], "plan")
-    for key, grid, m in (("mu", plan.grid1, mu), ("nu", plan.grid2, nu)):
-        # the grids are rebuilt from printed centers, so match them to a fraction of a cell
-        if grid.n != m.grid.n or not np.allclose(
-            grid.centers, m.grid.centers, rtol=0, atol=1e-6 * m.grid.h
-        ):
-            raise CliError(
-                EXIT_PARAM,
-                f"plan grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) does not match "
-                f"--{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
-            )
-    cost = _build_cost(o["cost"], plan.grid1, plan.grid2)
+    _match_grids("plan", plan, mu, nu)
+    cost = _build_cost(o["cost"], mu, nu, (plan.grid1, plan.grid2))
     m1, m2 = measures.marginals(plan)
     r1 = float(np.abs(m1.density - mu.density).sum() * mu.grid.h)
     r2 = float(np.abs(m2.density - nu.density).sum() * nu.grid.h)

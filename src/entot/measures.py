@@ -9,6 +9,7 @@ piecewise-constant data, which keeps the norm and entropy tests exact.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -163,8 +164,8 @@ class GridFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductDensity:
-    """Nonnegative density on the product of two grids, cell weight ``h1*h2``."""
+class ProductFunction:
+    """Signed function on the product of two grids, e.g. ``alpha_i + beta_j``; cell weight ``h1*h2``."""
 
     grid1: Grid1D
     grid2: Grid1D
@@ -176,8 +177,6 @@ class ProductDensity:
             raise ValueError(
                 f"values shape {vals.shape} does not match grids ({grid1.n}, {grid2.n})"
             )
-        if np.any(vals < 0):
-            raise ValueError("product density values must be nonnegative")
         object.__setattr__(self, "grid1", grid1)
         object.__setattr__(self, "grid2", grid2)
         object.__setattr__(self, "values", vals)
@@ -185,33 +184,19 @@ class ProductDensity:
     @property
     def weight(self) -> float:
         return self.grid1.h * self.grid2.h
+
+
+class ProductDensity(ProductFunction):
+    """Nonnegative density on the product of two grids."""
+
+    def __init__(self, grid1: Grid1D, grid2: Grid1D, values) -> None:
+        super().__init__(grid1, grid2, values)
+        if np.any(self.values < 0):
+            raise ValueError("product density values must be nonnegative")
 
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.weight)
-
-
-@dataclass(frozen=True, eq=False)
-class ProductFunction:
-    """Signed function on a product grid, e.g. ``alpha_i + beta_j``."""
-
-    grid1: Grid1D
-    grid2: Grid1D
-    values: np.ndarray
-
-    def __init__(self, grid1: Grid1D, grid2: Grid1D, values) -> None:
-        vals = _frozen_array(values, ndim=2)
-        if vals.shape != (grid1.n, grid2.n):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grids ({grid1.n}, {grid2.n})"
-            )
-        object.__setattr__(self, "grid1", grid1)
-        object.__setattr__(self, "grid2", grid2)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def weight(self) -> float:
-        return self.grid1.h * self.grid2.h
 
 
 @dataclass(frozen=True)
@@ -296,12 +281,6 @@ def _grid_from_centers(x: np.ndarray, what: str) -> Grid1D:
     return Grid1D(float(x[0] - h / 2), float(x[-1] + h / 2), x.size)
 
 
-def _bad_row(path, reader, exc: Exception) -> ValueError:
-    """The error for the data row a CSV reader stopped on, naming file and line."""
-    what = "too few values" if isinstance(exc, IndexError) else str(exc)
-    return ValueError(f"{path}: line {reader.line_num}: {what}")
-
-
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """CSV text with LF line ends; floats are written by ``repr``, which reads back exactly."""
     lines = [",".join(header)]
@@ -326,24 +305,35 @@ def write_measure_csv(path, m: GridMeasure) -> None:
         fh.write(_csv_text(["x", "density"], zip(m.grid.centers.tolist(), m.density.tolist())))
 
 
+def _read_table(path, names: Sequence[str]) -> np.ndarray:
+    """The rows of a CSV with header ``names`` as a (rows, len(names)) float array.
+
+    Blank lines are skipped, and columns past ``names`` ignored.
+    """
+    k = len(names)
+    values = array("d")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[:k]] != list(names):
+            raise ValueError(f"{path}: expected header '{','.join(names)}'")
+        try:
+            for row in filter(None, reader):
+                values.extend(map(float, row if len(row) == k else row[:k]))
+                if len(row) < k:
+                    raise ValueError("too few values")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.frombuffer(values).reshape(-1, k)
+
+
 def read_measure_csv(path) -> GridMeasure:
     """Read a ``x,density`` CSV written by :func:`write_measure_csv`.
 
     The grid is reconstructed from the (uniformly spaced) centers.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["x", "density"]:
-            raise ValueError(f"{path}: expected header 'x,density'")
-        try:
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        except (IndexError, ValueError) as exc:
-            raise _bad_row(path, reader, exc) from None
-    x = np.array([r[0] for r in rows])
-    dens = np.array([r[1] for r in rows])
-    grid = _grid_from_centers(x, str(path))
-    return GridMeasure(grid, dens)
+    table = _read_table(path, ("x", "density"))
+    return GridMeasure(_grid_from_centers(table[:, 0], str(path)), table[:, 1])
 
 
 def write_product_csv(path, p: ProductDensity) -> None:
@@ -354,20 +344,10 @@ def write_product_csv(path, p: ProductDensity) -> None:
 
 def read_product_csv(path) -> ProductDensity:
     """Read a row-major ``x,y,density`` CSV written by :func:`write_product_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != ["x", "y", "density"]:
-            raise ValueError(f"{path}: expected header 'x,y,density'")
-        try:
-            rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-        except (IndexError, ValueError) as exc:
-            raise _bad_row(path, reader, exc) from None
-    if not rows:
+    table = _read_table(path, ("x", "y", "density"))
+    if not table.size:
         raise ValueError(f"{path}: no rows")
-    xs_all = np.array([r[0] for r in rows])
-    ys_all = np.array([r[1] for r in rows])
-    vals = np.array([r[2] for r in rows])
+    xs_all, ys_all = table[:, 0], table[:, 1]
     ys = np.unique(ys_all)
     n2 = ys.size
     if xs_all.size % n2 != 0:
@@ -380,4 +360,4 @@ def read_product_csv(path) -> ProductDensity:
         raise ValueError(f"{path}: rows are not in row-major x,y order")
     grid1 = _grid_from_centers(xs, str(path))
     grid2 = _grid_from_centers(ys, str(path))
-    return ProductDensity(grid1, grid2, vals.reshape(n1, n2))
+    return ProductDensity(grid1, grid2, table[:, 2].reshape(n1, n2))

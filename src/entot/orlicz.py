@@ -134,7 +134,7 @@ def young_eval(phi: YoungFunction, s: float) -> float:
     return float(phi(s))
 
 
-GridLike = Union[GridMeasure, GridFunction, ProductDensity, ProductFunction]
+GridLike = Union[GridMeasure, GridFunction, ProductFunction]
 
 
 def _values_and_weight(f: GridLike) -> Tuple[np.ndarray, float]:
@@ -142,7 +142,7 @@ def _values_and_weight(f: GridLike) -> Tuple[np.ndarray, float]:
         return f.density, f.grid.h
     if isinstance(f, GridFunction):
         return f.values, f.grid.h
-    if isinstance(f, (ProductDensity, ProductFunction)):
+    if isinstance(f, ProductFunction):
         return f.values, f.weight
     raise TypeError(f"unsupported input type {type(f).__name__}")
 

@@ -45,7 +45,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .measures import MASS_TOL, Grid1D, GridMeasure, ProductDensity
+from .measures import MASS_TOL, Grid1D, GridMeasure, ProductDensity, ProductFunction
 
 __all__ = [
     "CostField",
@@ -134,28 +134,18 @@ def _absdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 COST_RULES: dict = {"sqdist": _sqdist, "abs": _absdist}
 
 
-@dataclass(frozen=True, eq=False)
-class CostField:
-    """Cost values c(x_i, y_j) tabulated on a product grid."""
-
-    grid1: Grid1D
-    grid2: Grid1D
-    values: np.ndarray
+class CostField(ProductFunction):
+    """Finite, nonnegative cost values c(x_i, y_j) on a product grid; refusals are ParameterErrors."""
 
     def __init__(self, grid1: Grid1D, grid2: Grid1D, values):
-        vals = np.array(values, dtype=float, copy=True)
-        if vals.shape != (grid1.n, grid2.n):
-            raise ParameterError(
-                f"cost shape {vals.shape} does not match grids ({grid1.n}, {grid2.n})"
-            )
-        if not np.all(np.isfinite(vals)):
+        try:
+            super().__init__(grid1, grid2, values)
+        except ValueError as exc:
+            raise ParameterError(f"cost {exc}") from None
+        if not np.all(np.isfinite(self.values)):
             raise ParameterError("cost values must be finite")
-        if np.any(vals < 0):
+        if np.any(self.values < 0):
             raise ParameterError("cost values must be nonnegative")
-        vals.setflags(write=False)
-        object.__setattr__(self, "grid1", grid1)
-        object.__setattr__(self, "grid2", grid2)
-        object.__setattr__(self, "values", vals)
 
 
 def _rule_values(rule: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from entot.measures import (
     Grid1D,
     GridMeasure,
     ProductDensity,
+    product_measure,
     write_measure_csv,
     write_product_csv,
 )
@@ -256,6 +257,33 @@ def test_check_optimality_rejects_plan_on_other_grid(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep-gamma", "check-optimality"])
+def test_cost_file_on_other_grid_is_parameter_error(tmp_path, capsys, command):
+    g = Grid1D(0.0, 1.0, 16)
+    x = g.centers
+    mu = GridMeasure(g, 1.0 + 0.5 * np.sin(2 * np.pi * x), renormalize=True)
+    nu = GridMeasure(g, 1.0 + 0.5 * np.cos(2 * np.pi * x), renormalize=True)
+    write_measure_csv(tmp_path / "mu.csv", mu)
+    write_measure_csv(tmp_path / "nu.csv", nu)
+    write_product_csv(tmp_path / "plan.csv", product_measure(mu, nu))
+    # the sqdist table of 16 cells on [0, 2], not on the marginals' [0, 1]
+    wide = Grid1D(0.0, 2.0, 16)
+    y = wide.centers
+    write_product_csv(tmp_path / "cost.csv", ProductDensity(wide, wide, (y[:, None] - y) ** 2))
+    args = {
+        "solve": ["--gamma", "0.1"],
+        "sweep-gamma": ["--gammas", "0.1"],
+        "check-optimality": ["--gamma", "0.1", "--plan", str(tmp_path / "plan.csv")],
+    }[command]
+    out = tmp_path / "out"
+    code = run([command, "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                "--cost", f"file:{tmp_path / 'cost.csv'}", "--out", str(out), *args, "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "cost grid (16 cells on [0.0, 2.0]) does not match --mu" in err
+    assert not out.exists()
+
+
 def test_check_optimality_rejects_measure_file_as_plan(marginal_files, capsys):
     mu, nu = marginal_files
     code = run(["check-optimality", "--mu", mu, "--nu", nu, "--gamma", "0.2",
@@ -422,3 +450,59 @@ def test_gamma_limit_non_finite_input_is_parameter_error(tmp_path, capsys, flag,
     assert run(["gamma-limit", *(text for pair in args.items() for text in pair)]) == 3
     err = capsys.readouterr().err
     assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("check-optimality", "--gamma", "inf"),
+        ("sweep-gamma", "--gammas", "0.1,nan"),
+        ("orlicz-norm", "--tol", "inf"),
+        ("solve", "--tol", "inf"),
+    ],
+)
+def test_non_finite_number_is_parameter_error(tmp_path, marginal_files, capsys, command, flag, value):
+    mu, nu = marginal_files
+    args = {
+        "check-optimality": ["--mu", mu, "--nu", nu, "--plan", mu],
+        "sweep-gamma": ["--mu", mu, "--nu", nu],
+        "orlicz-norm": ["--input", mu],
+        "solve": ["--mu", mu, "--nu", nu, "--gamma", "0.2"],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *args, f"{flag}={value}", "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--out"),
+        ("solve", "--plan"),
+        ("sweep-gamma", "--out"),
+        ("gamma-limit", "--out"),
+        ("orlicz-norm", "--out"),
+        ("entropy", "--out"),
+        ("check-optimality", "--out"),
+    ],
+)
+def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypatch, capsys,
+                                              command, flag):
+    mu, nu = marginal_files
+    args = {
+        "solve": ["--mu", mu, "--nu", nu, "--gamma", "0.2"],
+        "sweep-gamma": ["--mu", mu, "--nu", nu, "--gammas", "0.2"],
+        "gamma-limit": ["--mu", "atoms:0:1", "--nu", "atoms:1:1",
+                        "--schedule", "coupled:c=1:gammas=0.2", "--n", "64"],
+        "orlicz-norm": ["--input", mu],
+        "entropy": ["--input", mu],
+        "check-optimality": ["--mu", mu, "--nu", nu, "--gamma", "0.2", "--plan", mu],
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run([command, *args, f"{flag}=", "--quiet"]) == 3
+    assert flag in capsys.readouterr().err
+    assert list(work.iterdir()) == []

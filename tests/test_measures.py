@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -181,3 +183,16 @@ def test_product_csv_rejects_scrambled_rows(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_product_csv(path)
+
+
+def test_product_csv_read_peaks_under_ten_times_its_array(tmp_path):
+    g = Grid1D(0.0, 1.0, 256)
+    path = tmp_path / "plan.csv"
+    write_product_csv(path, ProductDensity(g, g, np.random.default_rng(0).random((256, 256))))
+    tracemalloc.start()
+    try:
+        back = read_product_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * back.values.nbytes

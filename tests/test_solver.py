@@ -59,11 +59,13 @@ def test_cost_field_rules():
 
 def test_cost_field_validation():
     g = unit_grid(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=r"shape \(1, 2\) does not match grids"):
         CostField(g, g, np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
+        CostField(g, g, np.ones(2))
+    with pytest.raises(ParameterError):
         CostField(g, g, -np.ones((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         CostField(g, g, np.full((2, 2), np.inf))
 
 
