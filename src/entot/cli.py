@@ -469,6 +469,10 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
         "mode": report.mode,
         "absorptions": report.absorptions,
         "fallbacks": report.fallbacks,
+        "kernel": report.kernel,
+        "kernel_reason": report.kernel_reason,
+        "sandwich_k": report.sandwich_k,
+        "sandwich_violation": report.sandwich_violation,
         "provenance": provenance,
     }
 

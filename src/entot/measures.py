@@ -348,16 +348,20 @@ def read_product_csv(path) -> ProductDensity:
     if not table.size:
         raise ValueError(f"{path}: no rows")
     xs_all, ys_all = table[:, 0], table[:, 1]
-    ys = np.unique(ys_all)
+    # the distinct y values, as np.unique gives them, from one sorted copy of the column
+    ys = np.sort(ys_all)
+    ys = ys[np.append(True, ys[1:] != ys[:-1])]
     n2 = ys.size
     if xs_all.size % n2 != 0:
         raise ValueError(f"{path}: row count {xs_all.size} is not a multiple of {n2} distinct y values")
     n1 = xs_all.size // n2
     xs = xs_all[::n2]
-    if not np.allclose(np.tile(ys, n1), ys_all, rtol=1e-12, atol=0) or not np.allclose(
-        np.repeat(xs, n2), xs_all, rtol=1e-12, atol=0
-    ):
-        raise ValueError(f"{path}: rows are not in row-major x,y order")
+    # one row of the plan at a time, so that the check allocates no full-size array
+    for x, row_xs, row_ys in zip(xs, xs_all.reshape(n1, n2), ys_all.reshape(n1, n2)):
+        if not np.allclose(ys, row_ys, rtol=1e-12, atol=0) or not np.allclose(
+            x, row_xs, rtol=1e-12, atol=0
+        ):
+            raise ValueError(f"{path}: rows are not in row-major x,y order")
     grid1 = _grid_from_centers(xs, str(path))
     grid2 = _grid_from_centers(ys, str(path))
     return ProductDensity(grid1, grid2, table[:, 2].reshape(n1, n2))

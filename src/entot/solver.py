@@ -18,14 +18,19 @@ product support structure of the optimal plan exactly.
 
 One scaling loop serves :func:`solve` and :func:`solve_logdomain`, and
 through them every sweep. It runs on the supports only, iterates log a
-and log b, and reduces the kernel block by matvecs with the stabilized
-kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519). In log
-mode, the default everywhere else in the package, f starts at
+and log b, and asks one kernel object for the log row and column
+denominators. The dense kernel reduces the block by matvecs with the
+stabilized kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519).
+In log mode, the default everywhere else in the package, f starts at
 -max_j log K_ij, f and g absorb log a and log b whenever these drift too
 far, and a pass that still over- or underflows is redone by log-sum-exp;
 in direct mode f = g = 0. The two agree to near machine precision
 whenever direct arithmetic does not over- or underflow. A cost named by a
 rule of :data:`COST_RULES` is evaluated on the support centers only.
+When such a rule meets two grids of one spacing, K is a Toeplitz matrix,
+and on large blocks whose kernel range FFT round-off can resolve, an FFT
+kernel convolves instead, in O(n log n) time and O(n) memory; a pass that
+fails its round-off check sends the solve back to the dense kernel.
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
@@ -39,6 +44,7 @@ plans and states, as independent references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple, Union
@@ -225,7 +231,12 @@ class SolveReport:
     normalize its integral to 1. ``absorptions`` counts how often log mode
     folded log a and log b into the stabilized kernel, the fold after the
     first a-pass included, and ``fallbacks`` the passes redone by log-sum-exp;
-    both are 0 in direct mode.
+    both are 0 in direct mode and on the FFT kernel. ``kernel`` is
+    ``"fft"`` or ``"dense"``; for ``"dense"``, ``kernel_reason`` names the
+    gate condition that kept the FFT kernel off, or the pass that abandoned
+    it. ``sandwich_k`` and ``sandwich_violation`` are the ``k_const`` and
+    ``max_violation`` of :func:`potential_sandwich_check` on the returned
+    state, read off the last a-pass.
     """
 
     iterations: int
@@ -240,6 +251,10 @@ class SolveReport:
     mode: str
     absorptions: int
     fallbacks: int
+    kernel: str
+    kernel_reason: str
+    sandwich_k: float
+    sandwich_violation: float
 
 
 class SolveResult:
@@ -252,7 +267,7 @@ class SolveResult:
 
     def __init__(self, report, grids, masks, log_ab, cost, gamma):
         self.report: SolveReport = report
-        # log a and log b on the supports that ``masks`` mark, the cost on their product
+        # log a and log b on the supports that ``masks`` mark; the cost table or rule
         self._grids, self._masks, self._log_ab, self._cost = grids, masks, log_ab, cost
         self._gamma = gamma
 
@@ -268,9 +283,13 @@ class SolveResult:
     @cached_property
     def plan(self) -> TransportPlan:
         smask, tmask = self._masks
+        if smask.size * tmask.size > _DENSE_CELLS:
+            raise ParameterError(
+                f"the {smask.size} x {tmask.size} plan exceeds the budget of {_DENSE_CELLS} cells"
+            )
         log_a, log_b = self._log_ab
         # log pi = (log K + log a) + log b on the supports
-        values = block = self._cost / -self._gamma
+        values = block = _cost_block(self._cost, self._grids, self._masks) / -self._gamma
         block += log_a[:, None]
         block += log_b
         np.exp(block, out=block)
@@ -340,6 +359,229 @@ def _check_probability(m: GridMeasure, name: str) -> None:
 #: exp(30) ~ 1e13 of 1, far from over- and underflow
 _ABSORB_AT = 30.0
 
+#: support block cells the dense kernel may hold: n = 8192 on both sides,
+#: 0.5 GB per array; larger blocks are refused unless the FFT kernel runs
+_DENSE_CELLS = 8192 * 8192
+#: hull block cells up to which the dense kernel is faster. One pass on 2
+#: CPUs with one BLAS thread: 18 us dense against 45 us FFT at 256 x 256,
+#: 78 against 37 us at 512 x 512 and 2.1 ms against 86 us at 2048 x 2048
+_FFT_MIN_CELLS = 512 * 512
+#: smallest kernel entry, relative to the largest, that the FFT kernel admits
+_FFT_MIN_RANGE = 1e-12
+#: largest round-off bound of an FFT pass, relative to its smallest denominator
+_FFT_ROUNDOFF = 1e-11
+
+
+class _DenseKernel:
+    """The stabilized kernel exp(f (+) g - c/gamma) of a support cost block.
+
+    ``rows`` and ``cols`` return log row and column denominators, such as
+    log(K @ exp(log b) h2), by one matvec with the block; in log mode
+    (``absorbing``) f starts at -max_j log K_ij, ``absorb`` folds log a and
+    log b into f and g and rebuilds the block, and a pass with non-finite
+    denominators is redone by log-sum-exp. Otherwise f = g = 0 and a
+    non-finite denominator raises.
+    """
+
+    name = "dense"
+
+    def __init__(self, c_st: np.ndarray, gamma: float, h1: float, h2: float, absorbing: bool):
+        self.c, self.gamma, self.h1, self.h2 = c_st, gamma, h1, h2
+        self.absorbing = absorbing
+        # log mode starts from f = -max_j log K_ij, so that every kernel row holds a 1
+        self.f = c_st.min(axis=1) / gamma if absorbing else np.zeros(c_st.shape[0])
+        self.g = np.zeros(c_st.shape[1])
+        self.K = np.empty(c_st.shape)
+        self.absorptions = self.fallbacks = 0
+        self._build()
+
+    def _build(self) -> None:
+        """The stabilized kernel exp((-c/gamma + f) + g), in the memory of K."""
+        K = self.K
+        np.divide(self.c, -self.gamma, out=K)
+        np.add(K, self.f[:, None], out=K)
+        np.add(K, self.g, out=K)
+        np.exp(K, out=K)
+
+    def _reduce(self, log_v, it, side):
+        K, c, f, g, h = (
+            (self.K, self.c, self.f, self.g, self.h2) if side == "a"
+            else (self.K.T, self.c.T, self.g, self.f, self.h1)
+        )
+        log_d = np.log(K @ np.exp(log_v - g) * h) - f
+        if self.absorbing and not np.all(np.isfinite(log_d)):
+            self.fallbacks += 1
+            m = c / -self.gamma
+            m += log_v + np.log(h)
+            log_d = _logsumexp(m, axis=1)
+        if not np.all(np.isfinite(log_d)):  # -inf: vanished; +inf or NaN: overflowed
+            if np.any(log_d == -np.inf):
+                raise DivergedScalingError(it, side)
+            raise DirectOverflowError(it)
+        return log_d
+
+    def rows(self, log_v: np.ndarray, it: int) -> np.ndarray:
+        return self._reduce(log_v, it, "a")
+
+    def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
+        return self._reduce(log_u, it, "b")
+
+    def absorb(self, log_a: np.ndarray, log_b: np.ndarray) -> None:
+        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift."""
+        if self.absorbing and (
+            not self.absorptions
+            or max(np.max(np.abs(log_a - self.f)), np.max(np.abs(log_b - self.g))) > _ABSORB_AT
+        ):
+            self.f[:], self.g[:] = log_a, log_b
+            self._build()
+            self.absorptions += 1
+
+    def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
+        """sum_ij a_i c_ij K_ij b_j by one matvec with c o K, formed in the
+        memory of K: the last call on the kernel."""
+        self.K *= self.c
+        return float(np.exp(log_a - self.f) @ (self.K @ np.exp(log_b - self.g)))
+
+
+class _Abandoned(Exception):
+    """The FFT kernel gave up on a pass; the message names the pass and why."""
+
+
+class _ToeplitzKernel:
+    """The kernel of a cost rule on two grids of one spacing, applied by FFT.
+
+    On the hull block, from the first to the last support cell of either
+    side, x_p - y_q depends on p - q only, so K is a Toeplitz matrix and a
+    pass is a linear convolution of k(d) = exp(-c(d)/gamma) over the
+    offsets d = p - q (Solomon et al., "Convolutional Wasserstein
+    Distances", SIGGRAPH 2015). The spectra of k, of its reverse and of
+    c(d) k(d) are taken once. A pass convolves exp(log v - max log v), 0 on
+    the hull cells outside the support, and reads the result on the support
+    cells of the other side. It raises :class:`_Abandoned` when a
+    denominator is not finite and positive, or when the round-off bound
+    eps log2(L) |k|_2 |w|_2 of the convolution of length L with the input w
+    exceeds :data:`_FFT_ROUNDOFF` of the smallest one; measured errors stay
+    below 1/20 of that bound.
+    """
+
+    name = "fft"
+    absorptions = fallbacks = 0
+
+    def __init__(self, rule, x, y, into_a, into_b, gamma, h1, h2):
+        """x, y: the hulls' cell centers; into_a, into_b: the support cells' places in them."""
+        P, Q = x.size, y.size
+        fn = COST_RULES[rule]
+        # c at the offsets p - q = -(Q-1) .. P-1: the hull block's first row, then its first column
+        c = np.concatenate((fn(x[0], y[:0:-1]), fn(x, y[0])))
+        k = np.exp(c / -gamma)
+        self._L = L = 1 << (P + Q - 2).bit_length()
+        self._eps_k = np.finfo(float).eps * np.log2(L) * np.sqrt(k @ k)
+        rfft = np.fft.rfft
+        # in the full convolution, row p of the block is entry p + Q - 1 and
+        # column q of the reversed one entry q + P - 1
+        read_a, read_b = into_b + (Q - 1), into_a + (P - 1)
+        self._a = (rfft(k, L), into_a, read_a, h2)
+        self._b = (rfft(k[::-1], L), into_b, read_b, h1)
+        self._c = (rfft(c * k, L), into_a, read_a)
+
+    def _convolve(self, spectrum, into, read, log_v):
+        m = np.max(log_v)
+        w = np.exp(log_v - m)
+        buf = np.zeros(self._L)
+        buf[into] = w
+        return np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read], m, w
+
+    def _denominators(self, spectrum, into, read, h, log_v, it, side):
+        out, m, w = self._convolve(spectrum, into, read, log_v)
+        low = np.min(out)
+        if not (low > 0 and np.all(np.isfinite(out))):
+            raise _Abandoned(f"{side}-pass of iteration {it}: a denominator is not finite and positive")
+        bound = self._eps_k * np.sqrt(w @ w) / low
+        if bound > _FFT_ROUNDOFF:
+            raise _Abandoned(
+                f"{side}-pass of iteration {it}: round-off bound {bound:.1e} of the smallest "
+                f"denominator exceeds {_FFT_ROUNDOFF:g}"
+            )
+        return np.log(out * h) + m
+
+    def rows(self, log_v: np.ndarray, it: int) -> np.ndarray:
+        return self._denominators(*self._a, log_v, it, "a")
+
+    def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
+        return self._denominators(*self._b, log_u, it, "b")
+
+    def absorb(self, log_a: np.ndarray, log_b: np.ndarray) -> None:
+        """Nothing to absorb: each pass shifts its input by its maximum."""
+
+    def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
+        """sum_ij a_i c_ij K_ij b_j by one convolution with c k."""
+        out, m, _ = self._convolve(*self._c, log_b)
+        return float(np.exp(log_a + m) @ out)
+
+
+def _fft_refusal(c, h1, h2, x, y, gamma) -> str:
+    """The gate condition that keeps a solve off the FFT kernel, or "" if none does.
+
+    x and y are the cell centers of the support hulls.
+    """
+    if x.size * y.size <= _FFT_MIN_CELLS:
+        return f"the {x.size} x {y.size} hull block is below the FFT crossover of {_FFT_MIN_CELLS} cells"
+    if not isinstance(c, str):
+        return "the cost is a table"
+    if h1 != h2:
+        return f"the grids' spacings {h1!r} and {h2!r} differ"
+    # x - y spans [lo, hi] on the hull block; both rules are convex in x - y and 0 at 0
+    fn = COST_RULES[c]
+    lo, hi = x[0] - y[-1], x[-1] - y[0]
+    spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
+    if math.exp(-spread / gamma) < _FFT_MIN_RANGE:
+        return (
+            f"the kernel's dynamic range exp(-{spread / gamma:.4g}) on the hull block "
+            f"is below {_FFT_MIN_RANGE:g}"
+        )
+    return ""
+
+
+def _centers(grid: Grid1D, cells: np.ndarray) -> np.ndarray:
+    """``grid.centers[cells]``, bit for bit, without the full-grid array."""
+    return grid.lo + (cells + 0.5) * grid.h
+
+
+def _cost_block(c, grids, masks) -> np.ndarray:
+    """The cost table or rule ``c`` on the product of the supports that ``masks`` mark."""
+    smask, tmask = masks
+    if isinstance(c, CostField):
+        return c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
+    return _rule_values(c, *(_centers(g, np.flatnonzero(m)) for g, m in zip(grids, masks)))
+
+
+def _scale(kernel, mu_s, nu_t, h2, tol, max_iter):
+    """Alternate a- and b-passes until the second marginal is within tol.
+
+    Each iteration opens with the b-update of the one before, so the loop
+    stops on the iterate its last residual measured. Returns the residuals,
+    log a, log b, the last passes' log row denominators and the plan's
+    column sums.
+    """
+    log_mu = np.log(mu_s)
+    log_nu = np.log(nu_t)
+    log_b = np.zeros_like(nu_t)
+    residuals: list = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if it > 1:
+                log_b = log_nu - col
+                kernel.absorb(log_a, log_b)
+            row = kernel.rows(log_b, it)
+            log_a = log_mu - row
+            kernel.absorb(log_a, log_b)
+            col = kernel.cols(log_a, it)
+            colmarg = np.exp(log_b + col)
+            residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
+            if residuals[-1] <= tol:
+                break
+    return residuals, log_a, log_b, row, colmarg
+
 
 def _solve(
     mu: GridMeasure,
@@ -352,16 +594,17 @@ def _solve(
 ) -> SolveResult:
     """Check the inputs, scale on supp mu x supp nu, and report from the last passes.
 
-    The loop reduces the block by matvecs with the stabilized kernel
-    exp(f (+) g - c/gamma), which one closure builds in both modes: the log
-    row denominators are log(K @ exp(log b - g) h2) - f, the column ones
-    likewise. ``"log"`` mode starts from f = -max_j log K_ij and g = 0,
-    absorbs log a and log b into f and g, rebuilding the kernel, after the
-    first pass and whenever they drift :data:`_ABSORB_AT` away, and redoes
-    by log-sum-exp any pass with non-finite denominators. ``"direct"`` mode
-    keeps f = g = 0 and raises on a non-finite denominator. Each iteration
-    opens with the b-update of the one before, so the loop stops on the
-    iterate its last residual measured.
+    The loop runs on one of two kernels. The FFT kernel
+    (:class:`_ToeplitzKernel`) runs when the cost is a rule, both grids
+    share h, the kernel's dynamic range on the hull block is at least
+    :data:`_FFT_MIN_RANGE` and that block is larger than
+    :data:`_FFT_MIN_CELLS`. If one of its passes fails its checks, the
+    solve restarts on the dense kernel (:class:`_DenseKernel`), which
+    otherwise runs from the start: ``"log"`` mode absorbs and falls back to
+    log-sum-exp, ``"direct"`` mode raises on a non-finite denominator. The
+    dense kernel refuses support blocks above :data:`_DENSE_CELLS`. The
+    report names the kernel and, for the dense one, why the FFT kernel did
+    not run or was abandoned.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -376,76 +619,34 @@ def _solve(
     if isinstance(c, CostField):
         if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
             raise ParameterError("marginals and cost table live on different grids")
-        c_st = c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
-    else:
-        c_st = _rule_values(c, mu.grid.centers[smask], nu.grid.centers[tmask])
+    elif not isinstance(c, str) or c not in COST_RULES:
+        raise ParameterError(f"unknown cost rule {c!r}, expected one of {sorted(COST_RULES)}")
     mu_s = mu.density[smask]
     nu_t = nu.density[tmask]
     h1, h2 = mu.grid.h, nu.grid.h
 
-    absorbing = mode == "log"
-    # log mode starts from f = -max_j log K_ij, so that every kernel row holds a 1
-    f = c_st.min(axis=1) / gamma if absorbing else np.zeros_like(mu_s)
-    g = np.zeros_like(nu_t)
-    K = np.empty(c_st.shape)
-    absorptions = fallbacks = 0
+    si, ti = np.flatnonzero(smask), np.flatnonzero(tmask)
+    x_hull = _centers(mu.grid, np.arange(si[0], si[-1] + 1))
+    y_hull = _centers(nu.grid, np.arange(ti[0], ti[-1] + 1))
+    grids, masks = (mu.grid, nu.grid), (smask, tmask)
+    reason = _fft_refusal(c, h1, h2, x_hull, y_hull, gamma)
+    if not reason:
+        kernel = _ToeplitzKernel(c, x_hull, y_hull, ti - ti[0], si - si[0], gamma, h1, h2)
+        try:
+            residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter)
+        except _Abandoned as exc:
+            reason = f"FFT kernel abandoned at the {exc}"
+    if reason:
+        if mu_s.size * nu_t.size > _DENSE_CELLS:
+            raise ParameterError(
+                f"the {mu_s.size} x {nu_t.size} support block exceeds the dense kernel's budget of "
+                f"{_DENSE_CELLS} cells, and the FFT kernel cannot run: {reason}"
+            )
+        kernel = _DenseKernel(_cost_block(c, grids, masks), gamma, h1, h2, mode == "log")
+        residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter)
 
-    def build():
-        """The stabilized kernel exp((-c/gamma + f) + g), in the memory of K."""
-        np.divide(c_st, -gamma, out=K)
-        np.add(K, f[:, None], out=K)
-        np.add(K, g, out=K)
-        np.exp(K, out=K)
-
-    def reduce(log_v, it, side):
-        """Log row (side "a") or column (side "b") denominators of the block."""
-        nonlocal fallbacks
-        K_, c_, f_, g_, h = (K, c_st, f, g, h2) if side == "a" else (K.T, c_st.T, g, f, h1)
-        log_d = np.log(K_ @ np.exp(log_v - g_) * h) - f_
-        if absorbing and not np.all(np.isfinite(log_d)):
-            fallbacks += 1
-            m = c_ / -gamma
-            m += log_v + np.log(h)
-            log_d = _logsumexp(m, axis=1)
-        if not np.all(np.isfinite(log_d)):  # -inf: vanished; +inf or NaN: overflowed
-            if np.any(log_d == -np.inf):
-                raise DivergedScalingError(it, side)
-            raise DirectOverflowError(it)
-        return log_d
-
-    def absorb(log_a, log_b):
-        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift."""
-        nonlocal absorptions
-        if absorbing and (
-            not absorptions or max(np.max(np.abs(log_a - f)), np.max(np.abs(log_b - g))) > _ABSORB_AT
-        ):
-            f[:], g[:] = log_a, log_b
-            build()
-            absorptions += 1
-
-    log_mu = np.log(mu_s)
-    log_nu = np.log(nu_t)
-    log_b = np.zeros_like(nu_t)
-    residuals: list = []
-    build()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if it > 1:
-                log_b = log_nu - col
-                absorb(log_a, log_b)
-            row = reduce(log_b, it, "a")
-            log_a = log_mu - row
-            absorb(log_a, log_b)
-            col = reduce(log_a, it, "b")
-            colmarg = np.exp(log_b + col)
-            residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
-            if residuals[-1] <= tol:
-                break
-
-    # pi = exp(log a - f) K exp(log b - g): the cost part is one matvec with
-    # c o K, formed in the memory of K, which the loop no longer needs
-    K *= c_st
-    cost = float(np.exp(log_a - f) @ (K @ np.exp(log_b - g))) * h1 * h2
+    # pi = a K b: the cost part is one more matvec
+    cost = kernel.cost(log_a, log_b) * h1 * h2
     # the plan's row sums come from the last a-pass; its column sums are
     # the ones the last residual measured
     rowmarg = np.exp(log_a + row)
@@ -458,6 +659,10 @@ def _solve(
     log_b = log_b + log_gauge
     with np.errstate(over="ignore"):
         gauge_constant = float(np.exp(log_gauge))
+    # the sandwich bound: the gauged state's log row denominators are row + log_gauge,
+    # and log a - log mu = -(row + log_gauge)
+    sandwich_k = float(np.max(row) - np.min(row))
+    sandwich_violation = float(np.max(np.abs(row + log_gauge)) - sandwich_k)
 
     # c + gamma log pi = gamma (log a + log b) on the block, so the primal
     # sum (c pi + gamma pi (log pi - 1)) h1 h2 needs only the marginals
@@ -474,12 +679,16 @@ def _solve(
         gauge_constant=gauge_constant,
         converged=residuals[-1] <= tol,
         mode=mode,
-        absorptions=absorptions,
-        fallbacks=fallbacks,
+        absorptions=kernel.absorptions,
+        fallbacks=kernel.fallbacks,
+        kernel=kernel.name,
+        kernel_reason=reason,
+        sandwich_k=sandwich_k,
+        sandwich_violation=sandwich_violation,
     )
     if not report.converged:
         raise ConvergenceError(report)
-    return SolveResult(report, (mu.grid, nu.grid), (smask, tmask), (log_a, log_b), c_st, float(gamma))
+    return SolveResult(report, grids, masks, (log_a, log_b), c, float(gamma))
 
 
 def solve(
@@ -536,11 +745,12 @@ def solve_logdomain(
 ) -> SolveResult:
     """Same contract as :func:`solve`, stabilized by absorption.
 
-    The matvecs run on exp(f (+) g - c/gamma), where f starts at
-    -max_j log K_ij and f and g absorb log a and log b whenever these drift
-    30 away; a pass with non-finite denominators is redone by log-sum-exp.
-    So small gamma cannot overflow the kernel. The plan agrees with the direct mode to 1e-8 entrywise
-    whenever the latter completes.
+    The dense kernel's matvecs run on exp(f (+) g - c/gamma), where f starts
+    at -max_j log K_ij and f and g absorb log a and log b whenever these
+    drift 30 away; a pass with non-finite denominators is redone by
+    log-sum-exp. So small gamma cannot overflow the kernel. The FFT kernel,
+    where it runs, is the same in both modes. The plan agrees with the
+    direct mode to 1e-8 entrywise whenever the latter completes.
     """
     return _solve(mu, nu, c, gamma, tol, max_iter, "log")
 

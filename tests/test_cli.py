@@ -93,7 +93,19 @@ def test_solve_writes_report_with_fixed_keys(tmp_path, marginal_files):
         assert key in report
     assert report["converged"] is True
     assert report["absorptions"] >= 1 and report["fallbacks"] == 0
+    assert report["kernel"] == "dense" and "crossover" in report["kernel_reason"]
+    assert report["sandwich_k"] >= 0 and report["sandwich_violation"] <= 1e-9
     assert report["provenance"]["gamma"] == "flag"
+
+
+def test_solve_report_names_the_fft_kernel(tmp_path, monkeypatch, marginal_files):
+    monkeypatch.setattr(solver, "_FFT_MIN_CELLS", 0)
+    mu, nu = marginal_files
+    out = tmp_path / "report.json"
+    assert run(["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert (report["kernel"], report["kernel_reason"]) == ("fft", "")
+    assert (report["absorptions"], report["fallbacks"]) == (0, 0)
 
 
 def test_solve_rerun_is_byte_identical(tmp_path, marginal_files):

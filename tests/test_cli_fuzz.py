@@ -228,3 +228,20 @@ def test_cli_exit_code_is_documented(invocation):
         finally:
             os.chdir(cwd)
     assert code in EXIT_CODES, (argv, config, code)
+
+
+def test_oversized_dense_block_exits_3_before_allocating(tmp_path):
+    """100 000 cells a side: the 1e10-cell block is refused unless the FFT kernel takes it."""
+    g = Grid1D(0.0, 1.0, 100_000)
+    x = g.centers
+    for name, wave in (("mu.csv", np.sin), ("nu.csv", np.cos)):
+        density = 1.0 + 0.4 * wave(2 * np.pi * x)
+        write_measure_csv(tmp_path / name, GridMeasure(g, density, renormalize=True))
+    common = ["solve", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"), "--quiet"]
+    out = tmp_path / "report.json"
+    # exp(-1/0.001) is far below the FFT kernel's range: the dense block it would need is refused
+    assert cli.main([*common, "--gamma", "0.001", "--out", str(out)]) == 3
+    assert not out.exists()
+    # at gamma = 0.5 the FFT kernel runs, in O(n) memory
+    assert cli.main([*common, "--gamma", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["kernel"] == "fft"

@@ -196,3 +196,18 @@ def test_product_csv_read_peaks_under_ten_times_its_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * back.values.nbytes
+
+
+def test_product_csv_read_peaks_under_five_times_its_array(tmp_path):
+    # the row-order check goes row by row, and the distinct y values come
+    # from one sorted copy of the column
+    g = Grid1D(0.0, 1.0, 256)
+    path = tmp_path / "plan.csv"
+    write_product_csv(path, ProductDensity(g, g, np.random.default_rng(1).random((256, 256))))
+    tracemalloc.start()
+    try:
+        back = read_product_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * back.values.nbytes

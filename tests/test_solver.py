@@ -411,3 +411,155 @@ def test_primal_handles_zero_cells():
     c = cost_field(g, g, "sqdist")
     v = primal_value(plan, c, 1.0)
     assert np.isfinite(v)
+
+
+# --- the two kernels --------------------------------------------------------
+#
+# The FFT kernel runs only on hull blocks above a speed crossover; the tests
+# that compare it with the dense kernel on smaller blocks lower that constant.
+
+
+def shifted_pair(n, seed, lo2=0.0, holes=False):
+    """smooth_pair's densities on [0, 1] and on [lo2, lo2 + 1], both with spacing 1/n.
+
+    With ``holes``, both supports miss cells inside their hulls, and nu's
+    hull starts past the grid's first cells.
+    """
+    mu, nu, _ = smooth_pair(n, seed)
+    d1, d2 = mu.density.copy(), nu.density.copy()
+    if holes:
+        d1[n // 5 : n // 4] = 0.0
+        d2[: n // 8] = 0.0
+        d2[n // 2 : n // 2 + n // 16] = 0.0
+    g2 = Grid1D(lo2, lo2 + 1.0, n)
+    assert g2.h == mu.grid.h
+    return GridMeasure(mu.grid, d1, renormalize=True), GridMeasure(g2, d2, renormalize=True)
+
+
+FFT_CASES = [
+    (256, "sqdist", 0.0, False, solve_logdomain),
+    (256, "abs", 0.25, True, solve),
+    (512, "sqdist", 0.25, True, solve_logdomain),
+    (512, "abs", 0.0, False, solve),
+    (2048, "sqdist", 0.0, True, solve),
+]
+
+
+@pytest.mark.parametrize("n, rule, lo2, holes, run", FFT_CASES)
+def test_fft_kernel_agrees_with_dense_kernel(monkeypatch, n, rule, lo2, holes, run):
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    mu, nu = shifted_pair(n, seed=n, lo2=lo2, holes=holes)
+    table = cost_field(mu.grid, nu.grid, rule)
+    # the kernel's dynamic range on these hulls is about exp(-1/gamma) or less:
+    # the gate trips at 0.03
+    for gamma in (0.5, 0.2, 0.03):
+        fft = run(mu, nu, rule, gamma).report
+        if gamma == 0.03:
+            assert fft.kernel == "dense" and "dynamic range" in fft.kernel_reason
+            assert max(fft.optimality_residual) <= 1e-9
+            continue
+        dense = run(mu, nu, table, gamma).report
+        assert (fft.kernel, fft.kernel_reason, dense.kernel) == ("fft", "", "dense")
+        for name in ("primal_value", "dual_value", "transport_cost"):
+            assert getattr(fft, name) == pytest.approx(getattr(dense, name), rel=1e-12), name
+        assert abs(fft.iterations - dense.iterations) <= 1
+        assert max(fft.optimality_residual) <= 1e-9
+        assert max(dense.optimality_residual) <= 1e-9
+
+
+def test_fft_solve_builds_plan_and_state_like_the_dense_one(monkeypatch):
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    mu, nu = shifted_pair(128, seed=3, lo2=0.25, holes=True)
+    table = cost_field(mu.grid, nu.grid, "sqdist")
+    fft = solve_logdomain(mu, nu, "sqdist", 0.2)
+    dense = solve_logdomain(mu, nu, table, 0.2)
+    assert fft.report.kernel == "fft"
+    assert np.max(np.abs(fft.plan.values - dense.plan.values)) <= 1e-12 * dense.plan.values.max()
+    assert np.all(fft.plan.values[~np.outer(mu.density > 0, nu.density > 0)] == 0)
+    assert_allclose(fft.state.log_a, dense.state.log_a, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("crossover", [0, None])
+def test_report_carries_the_sandwich_bound_of_either_kernel(monkeypatch, crossover):
+    if crossover is not None:
+        monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", crossover)
+    mu, nu = shifted_pair(96, seed=4, holes=True)
+    table = cost_field(mu.grid, nu.grid, "sqdist")
+    for run, gamma in ((solve, 0.3), (solve_logdomain, 0.05)):
+        res = run(mu, nu, "sqdist", gamma)
+        rep = res.report
+        assert rep.kernel == ("fft" if crossover == 0 else "dense")
+        check = potential_sandwich_check(res.state, gibbs_kernel(table, gamma), mu)
+        assert rep.sandwich_k == pytest.approx(check.k_const, rel=1e-12, abs=1e-12)
+        assert rep.sandwich_violation == pytest.approx(check.max_violation, rel=1e-12, abs=1e-12)
+        assert rep.sandwich_violation <= 1e-9
+
+
+def test_gate_names_the_condition_that_keeps_the_fft_kernel_off(monkeypatch):
+    mu, nu = shifted_pair(64, seed=5)
+    small = solve_logdomain(mu, nu, "sqdist", 0.5).report
+    assert small.kernel == "dense" and "crossover" in small.kernel_reason
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    assert solve_logdomain(mu, nu, "sqdist", 0.5).report.kernel == "fft"
+    table = solve_logdomain(mu, nu, cost_field(mu.grid, nu.grid, "sqdist"), 0.5).report
+    assert table.kernel == "dense" and table.kernel_reason == "the cost is a table"
+    wide = Grid1D(0.0, 2.0, 64)
+    nu2 = GridMeasure(wide, nu.density, renormalize=True)
+    spaced = solve_logdomain(mu, nu2, "abs", 0.5).report
+    assert spaced.kernel == "dense" and "spacings" in spaced.kernel_reason
+    # sqdist spans [0, 1) on the hull block: exp(-1/0.03) is below 1e-12
+    ranged = solve_logdomain(mu, nu, "sqdist", 0.03).report
+    assert ranged.kernel == "dense" and "dynamic range" in ranged.kernel_reason
+    assert solve_logdomain(mu, nu, "sqdist", 0.04).report.kernel == "fft"
+
+
+def test_failed_fft_pass_restarts_the_solve_on_the_dense_kernel(monkeypatch):
+    import dataclasses
+
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    monkeypatch.setattr("entot.solver._FFT_ROUNDOFF", 0.0)
+    mu, nu = shifted_pair(64, seed=6, holes=True)
+    table = cost_field(mu.grid, nu.grid, "sqdist")
+    for run in (solve, solve_logdomain):
+        res = run(mu, nu, "sqdist", 0.2)
+        ref = run(mu, nu, table, 0.2)
+        assert res.report.kernel == "dense"
+        assert "a-pass of iteration 1" in res.report.kernel_reason
+        assert "round-off" in res.report.kernel_reason
+        assert dataclasses.replace(res.report, kernel_reason="") == dataclasses.replace(
+            ref.report, kernel_reason=""
+        )
+        assert np.array_equal(res.plan.values, ref.plan.values)
+
+
+def test_fft_round_off_check_trips_on_a_wide_kernel_range(monkeypatch):
+    import dataclasses
+
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    # abs on hulls 1.25 apart at gamma = 0.05: the gate admits the range
+    # exp(-25), but some denominators are too small for the FFT's round-off
+    mu, nu = shifted_pair(256, seed=256, lo2=0.25, holes=True)
+    res = solve(mu, nu, "abs", 0.05)
+    ref = solve(mu, nu, cost_field(mu.grid, nu.grid, "abs"), 0.05)
+    assert res.report.kernel == "dense"
+    assert "FFT kernel abandoned" in res.report.kernel_reason
+    assert dataclasses.replace(res.report, kernel_reason="") == dataclasses.replace(
+        ref.report, kernel_reason=""
+    )
+
+
+def test_dense_budget_refuses_before_allocating(monkeypatch):
+    mu, nu = shifted_pair(64, seed=7)
+    monkeypatch.setattr("entot.solver._DENSE_CELLS", 64 * 64 - 1)
+    with pytest.raises(ParameterError, match="budget .*crossover"):
+        solve_logdomain(mu, nu, "sqdist", 0.5)
+    # a solve the FFT kernel takes is exempt, but not its plan on the full grids
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    res = solve_logdomain(mu, nu, "sqdist", 0.5)
+    assert res.report.kernel == "fft"
+    with pytest.raises(ParameterError, match="plan exceeds"):
+        res.plan
+    # ... and so is a restart on the dense kernel
+    monkeypatch.setattr("entot.solver._FFT_ROUNDOFF", 0.0)
+    with pytest.raises(ParameterError, match="budget .*abandoned at the a-pass"):
+        solve(mu, nu, "sqdist", 0.5)
