@@ -35,23 +35,14 @@ from .solver import (
     ParameterError,
     SolverError,
     cost_field,
-    dual_value,
-    gibbs_kernel,
-    normalize_gauge,
-    optimality_residual,
-    potential_sandwich_check,
     potentials_from_state,
     primal_value,
-    sinkhorn_step_a,
-    sinkhorn_step_b,
     solve,
     solve_logdomain,
-    support_check,
 )
 from .gamma_limit import (
     ExtendedDomain,
     Mollifier,
-    brute_force_ot,
     coupled_schedule,
     gamma_sweep,
     power_schedule,

@@ -481,6 +481,8 @@ def _solver_for(o: Dict[str, object]) -> Callable[[float], solver.SolveResult]:
     """Load --mu, --nu and --cost; return gamma -> the --mode solve at that gamma."""
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
+    if o.get("plan") is not None:  # solve --plan: refuse an oversized plan before solving
+        solver._check_plan_cells(mu.grid.n, nu.grid.n)
     cost = o["cost"]  # a rule name goes through, to be evaluated on the supports only
     if cost not in solver.COST_RULES:
         cost = _build_cost(cost, mu, nu, (mu.grid, nu.grid))

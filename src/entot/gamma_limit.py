@@ -4,17 +4,13 @@ Singular marginals (sums of point masses) are smoothed by convolution with
 a compactly supported bump kernel of width delta on a slightly extended
 grid, the entropic problem is solved for each scheduled (gamma, delta)
 pair, and the transport cost of the converged plan is compared against an
-exact unregularized reference computed by monotone coupling of the atoms.
-
-Two small exact oracles are included: the monotone (sorted north-west
-corner) coupling, optimal in one dimension for costs that are convex in
-the difference, and an exhaustive permutation minimum for tiny equal-mass
-instances, which also covers non-convex costs.
+exact unregularized reference: the monotone (sorted north-west corner)
+coupling of the atoms, optimal in one dimension for costs that are convex
+in the difference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +29,6 @@ __all__ = [
     "SweepPoint",
     "smooth_marginal",
     "unregularized_ot_1d",
-    "brute_force_ot",
     "gamma_sweep",
     "coupled_schedule",
     "power_schedule",
@@ -63,9 +58,9 @@ class Mollifier:
 
     Z normalizes the profile to unit integral; it is computed by a
     midpoint sum at four times the working resolution (spacing
-    ``working_h / 4``). Discrete kernels produced by :meth:`grid_values`
-    are additionally renormalized on their own grid so that smoothing
-    preserves mass to rounding accuracy even at coarse delta/h ratios.
+    ``working_h / 4``). The samples that smoothing takes on a grid are
+    additionally renormalized there, so that it preserves mass to rounding
+    accuracy even at coarse delta/h ratios.
     """
 
     delta: float
@@ -92,30 +87,14 @@ class Mollifier:
         x = np.asarray(x, dtype=float)
         return _bump_profile(x / self.delta) / (self.z * self.delta)
 
-    def grid_values(self, grid: Grid1D, center: float = 0.0) -> np.ndarray:
-        """Kernel sampled at the grid centers around ``center``, unit discrete mass.
-
-        The midpoint samples are rescaled so that their weighted sum is
-        exactly 1, making discrete convolution mass-preserving.
-        """
-        first, window = self._window(grid, center)
-        vals = np.zeros(grid.n)
-        vals[first : first + window.size] = window
-        return vals
-
     def _window(self, grid: Grid1D, center: float) -> Tuple[int, np.ndarray]:
-        """First cell and values of :meth:`grid_values` on the cells within delta of ``center``."""
+        """First cell and values of the kernel around ``center`` on the cells within
+        delta of it, sampled at their centers and rescaled to unit discrete mass."""
         first = min(max(math.floor((center - self.delta - grid.lo) / grid.h), 0), grid.n)
         stop = min(max(math.ceil((center + self.delta - grid.lo) / grid.h) + 1, first), grid.n)
         # the expression of Grid1D.centers, so that the samples match full-grid ones
         vals = self(grid.lo + (np.arange(first, stop) + 0.5) * grid.h - center)
-        total = vals.sum() * grid.h
-        if total <= 0:
-            raise ParameterError(
-                f"kernel of width {self.delta} has no support on the grid "
-                f"(h = {grid.h}); refine the grid"
-            )
-        vals /= total
+        vals /= vals.sum() * grid.h
         return first, vals
 
 
@@ -159,6 +138,14 @@ def _check_delta(delta: float, ext: ExtendedDomain) -> None:
         )
 
 
+def _check_atoms(m: AtomicMeasure, ext: ExtendedDomain) -> None:
+    """Raise ParameterError if an atom of ``m`` lies outside the original domain."""
+    lo, hi = ext.original.lo, ext.original.hi
+    for loc in m.locations.tolist():
+        if not lo <= loc <= hi:
+            raise ParameterError(f"atom at {loc!r} lies outside the domain [{lo!r}, {hi!r}]")
+
+
 def smooth_marginal(
     m: Union[AtomicMeasure, GridMeasure], delta: float, ext: ExtendedDomain
 ) -> GridMeasure:
@@ -166,14 +153,16 @@ def smooth_marginal(
 
     Atoms contribute ``mass * kernel(center - location)``; grid densities
     are zero-extended and convolved discretely. Total mass is preserved to
-    rounding accuracy. The extension margin must cover delta and the grid
-    must resolve the kernel (h <= delta / 4).
+    rounding accuracy. Atoms must lie in the original domain, the extension
+    margin must cover delta and the grid must resolve the kernel
+    (h <= delta / 4).
     """
     _check_delta(delta, ext)
     grid = ext.extended
     kernel = Mollifier(delta, grid.h)
     out = np.zeros(grid.n)
     if isinstance(m, AtomicMeasure):
+        _check_atoms(m, ext)
         for loc, mass in m.atoms:
             first, vals = kernel._window(grid, loc)
             vals *= mass
@@ -197,19 +186,12 @@ def smooth_marginal(
     return GridMeasure(grid, out)
 
 
-def _resolve_cost(cost: Union[str, Callable], convex_only: bool) -> Callable:
-    if callable(cost):
-        if convex_only:
-            raise ParameterError(
-                "monotone coupling is only valid for the named convex rules "
-                f"{CONVEX_RULES}; use brute_force_ot for arbitrary costs"
-            )
-        return cost
-    if cost not in COST_RULES:
-        raise ParameterError(f"unknown cost rule {cost!r}")
-    if convex_only and cost not in CONVEX_RULES:
+def _resolve_cost(cost: str) -> Callable:
+    """The rule of a cost name in :data:`CONVEX_RULES`, which monotone coupling needs."""
+    if not isinstance(cost, str) or cost not in CONVEX_RULES:
         raise ParameterError(
-            f"cost rule {cost!r} is not convex in the difference; use brute_force_ot"
+            f"monotone coupling needs a cost rule convex in the difference, one of "
+            f"{CONVEX_RULES}; got {cost!r}"
         )
     return COST_RULES[cost]
 
@@ -223,7 +205,7 @@ def unregularized_ot_1d(
     which the monotone coupling of the sorted atoms is optimal. The
     coupling is built by the north-west-corner rule on sorted atoms.
     """
-    fn = _resolve_cost(cost, convex_only=True)
+    fn = _resolve_cost(cost)
     xs = sorted(mu.atoms)
     ys = sorted(nu.atoms)
     i = j = 0
@@ -245,33 +227,6 @@ def unregularized_ot_1d(
                 break
             rj = ys[j][1]
     return total
-
-
-def brute_force_ot(
-    mu: AtomicMeasure, nu: AtomicMeasure, cost: Union[str, Callable] = "sqdist"
-) -> float:
-    """Exact minimum over all permutation couplings of tiny equal-mass instances.
-
-    Requires the two measures to have the same number (at most 8) of atoms
-    of equal mass; arbitrary cost callables are accepted.
-    """
-    fn = _resolve_cost(cost, convex_only=False)
-    xs = mu.locations
-    ms = mu.masses
-    ys = nu.locations
-    mt = nu.masses
-    if xs.size != ys.size:
-        raise ParameterError("permutation search needs equally many atoms on both sides")
-    if xs.size > 8:
-        raise ParameterError("permutation search is limited to 8 atoms")
-    m0 = ms[0]
-    if np.any(np.abs(ms - m0) > 1e-12) or np.any(np.abs(mt - m0) > 1e-12):
-        raise ParameterError("permutation search needs equal-mass atoms")
-    best = math.inf
-    for perm in itertools.permutations(range(xs.size)):
-        val = sum(float(fn(xs[i], ys[p])) for i, p in enumerate(perm))
-        best = min(best, val)
-    return m0 * best
 
 
 @dataclass(frozen=True)
@@ -371,17 +326,18 @@ def gamma_sweep(
     """Smooth, solve, and record one :class:`SweepPoint` per scheduled pair.
 
     The cost must be a named closed-form rule so it extends to the
-    enlarged domain by evaluation; tabulated costs are rejected. Points
-    whose solve fails are marked in ``status`` and the sweep continues.
+    enlarged domain by evaluation; tabulated costs are rejected, and so is
+    an atom outside the original domain, before any point. Points whose
+    solve fails are marked in ``status`` and the sweep continues.
     Points are independent; with ``threads > 1`` they are evaluated
     concurrently and returned in schedule order regardless of completion
     order.
     """
     if not schedule:
         raise ParameterError("schedule must list at least one (gamma, delta) pair")
-    if not isinstance(cost, str):
-        raise ParameterError("sweeps need a named cost rule, not a tabulated cost")
-    _resolve_cost(cost, convex_only=True)
+    _resolve_cost(cost)
+    _check_atoms(mu, ext)
+    _check_atoms(nu, ext)
     for g, d in schedule:
         if not 0 < g < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {g}")

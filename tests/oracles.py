@@ -6,8 +6,15 @@ cannot hide in its own oracle.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
+
+
+def log_sum_exp(m, axis):
+    """Max-subtracted log of the sum of exp(m) along ``axis``."""
+    top = np.max(m, axis=axis, keepdims=True)
+    return np.squeeze(top + np.log(np.sum(np.exp(m - top), axis=axis, keepdims=True)), axis)
 
 
 def midpoint_quadrature(fn, lo, hi, n):
@@ -161,16 +168,52 @@ def sinkhorn_logsumexp(cost, mu, nu, gamma, h1, h2, tol, max_iter=100000):
     marginal after an a-pass is at most tol. Returns (plan, iterations).
     """
     log_k = -np.asarray(cost, dtype=float) / gamma
-
-    def lse(m, axis):
-        top = np.max(m, axis=axis, keepdims=True)
-        return np.squeeze(top + np.log(np.sum(np.exp(m - top), axis=axis, keepdims=True)), axis)
-
     log_b = np.zeros(len(nu))
     for it in range(1, max_iter + 1):
-        log_a = np.log(mu) - lse(log_k + log_b[None, :] + np.log(h2), 1)
-        col = lse(log_k + log_a[:, None] + np.log(h1), 0)
+        log_a = np.log(mu) - log_sum_exp(log_k + log_b[None, :] + np.log(h2), 1)
+        col = log_sum_exp(log_k + log_a[:, None] + np.log(h1), 0)
         if np.sum(np.abs(np.exp(log_b + col) - nu)) * h2 <= tol:
             break
         log_b = np.log(nu) - col
     return np.exp(log_a[:, None] + log_k + log_b[None, :]), it
+
+
+class SandwichCheck(NamedTuple):
+    """Result of the two-sided potential bound check.
+
+    ``k_const`` is log(cbar/cunder) built from the extremes of the
+    denominator sums; ``max_violation`` is how far any support cell sits
+    outside [log mu - k, log mu + k] (nonpositive when the bound holds).
+    """
+
+    k_const: float
+    max_violation: float
+    holds: bool
+
+
+def potential_sandwich_check(log_a, log_b, cost, gamma, mu, h2, tol=1e-9):
+    """Check log mu - k <= alpha/gamma <= log mu + k on the support of mu.
+
+    Here alpha/gamma = log a and k = log(cbar/cunder) with cunder, cbar the
+    smallest and largest of the sums c_i = sum_j exp(-cost_ij/gamma) b_j h2
+    over support cells, b = exp(log_b) on its finite cells. Expects a
+    gauge-normalized state (sum_i a_i h1 = 1); the normalization pins
+    cunder <= 1 <= cbar, which makes the two-sided bound valid.
+    """
+    smask = np.asarray(mu) > 0
+    tmask = np.isfinite(log_b)
+    log_k = -np.asarray(cost, dtype=float)[np.ix_(smask, tmask)] / gamma
+    log_c = log_sum_exp(log_k + log_b[tmask][None, :] + np.log(h2), 1)
+    k_const = float(np.max(log_c) - np.min(log_c))
+    log_mu = np.log(np.asarray(mu)[smask])
+    log_a = log_a[smask]
+    upper = np.max(log_a - (log_mu + k_const))
+    lower = np.max((log_mu - k_const) - log_a)
+    max_violation = float(max(upper, lower))
+    return SandwichCheck(k_const, max_violation, max_violation <= tol)
+
+
+def support_check(plan, mu, nu, threshold=1e-300):
+    """True iff plan entries exceed threshold exactly on supp mu x supp nu."""
+    expected = np.outer(np.asarray(mu) > 0, np.asarray(nu) > 0)
+    return bool(np.array_equal(np.asarray(plan) > threshold, expected))

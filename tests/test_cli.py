@@ -193,6 +193,21 @@ def test_solve_builds_the_plan_only_for_plan_flag(tmp_path, marginal_files, monk
     assert json.loads(out.read_text())["converged"] is True
 
 
+def test_solve_refuses_an_oversized_plan_before_solving(tmp_path, marginal_files, monkeypatch, capsys):
+    mu, nu = marginal_files
+    # the FFT kernel takes the 48 x 48 block, but a plan on 48 x 48 cells is over budget
+    monkeypatch.setattr(solver, "_FFT_MIN_CELLS", 0)
+    monkeypatch.setattr(solver, "_DENSE_CELLS", 48 * 48 - 1)
+    calls, real = [], solver.solve_logdomain
+    monkeypatch.setattr(solver, "solve_logdomain", lambda *a, **k: calls.append(a) or real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    code = run(["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--plan", "plan.csv", "--quiet"])
+    assert code == 3
+    assert "plan exceeds the budget" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "plan.csv").exists()
+
+
 def test_no_temp_file_left_when_a_write_fails(tmp_path, marginal_files, monkeypatch):
     mu, _ = marginal_files
     real_fdopen = os.fdopen
@@ -370,6 +385,17 @@ def test_gamma_limit_negative_domain_joined_with_equals(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",ok")
     assert float(lines[1].split(",")[3]) == 1.0
+
+
+def test_gamma_limit_refuses_an_atom_outside_the_domain(tmp_path, capsys):
+    out = tmp_path / "gl.csv"
+    code = run(
+        ["gamma-limit", "--mu", "atoms:5:1", "--nu", "atoms:0.5:1",
+         "--schedule", "pairs:0.1:0.05", "--n", "256", "--out", str(out), "--quiet"]
+    )
+    assert code == 3
+    assert not out.exists()
+    assert "atom at 5.0 lies outside the domain [0.0, 1.0]" in capsys.readouterr().err
 
 
 def test_gamma_limit_pairs_and_power_schedules():

@@ -9,7 +9,6 @@ from entot.solver import ParameterError, cost_field, solve_logdomain
 from entot.gamma_limit import (
     ExtendedDomain,
     Mollifier,
-    brute_force_ot,
     coupled_schedule,
     gamma_sweep,
     power_schedule,
@@ -46,21 +45,6 @@ def test_mollifier_continuous_unit_mass():
         lambda x: np.array([m(v) for v in x]), -0.2, 0.2, 200_001
     )
     assert integral == pytest.approx(1.0, abs=1e-9)
-
-
-def test_mollifier_grid_values_unit_discrete_mass():
-    ext = extended()
-    grid = ext.extended
-    for delta in (0.25, 0.1, 0.05):
-        vals = Mollifier(delta).grid_values(grid, 0.3)
-        assert float(vals.sum() * grid.h) == pytest.approx(1.0, abs=1e-6)
-        assert np.all(vals >= 0.0)
-
-
-def test_mollifier_grid_values_needs_support():
-    grid = Grid1D(0.0, 1.0, 64)
-    with pytest.raises(ParameterError):
-        Mollifier(0.05).grid_values(grid, 25.0)
 
 
 def test_mollifier_rejects_bad_delta():
@@ -167,6 +151,17 @@ def test_smooth_rejects_unresolved_delta():
         smooth_marginal(atom, -0.1, ext)
 
 
+def test_smooth_marginal_refuses_an_atom_outside_the_domain():
+    ext = extended(n=64)  # [0, 1], extended by 0.25 on both sides
+    # 1.1 lies in the extension, 25 beyond it: neither is in the grid's domain
+    for loc in (-0.01, 1.1, 25.0):
+        atoms = AtomicMeasure([(0.5, 0.5), (loc, 0.5)], lo=-1.0, hi=30.0)
+        with pytest.raises(ParameterError, match=rf"atom at {loc!r} lies outside the domain \[0.0, 1.0\]"):
+            smooth_marginal(atoms, 0.1, ext)
+    ends = smooth_marginal(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]), 0.1, ext)
+    assert ends.mass == pytest.approx(1.0, abs=1e-12)
+
+
 # ------------------------------------------------------------ 1d transport
 
 
@@ -209,15 +204,8 @@ def test_unregularized_refuses_nonconvex_cost():
 def test_brute_force_agrees_and_guards():
     mu = AtomicMeasure([(0.1, 0.5), (0.9, 0.5)])
     nu = AtomicMeasure([(0.2, 0.5), (0.6, 0.5)])
-    assert brute_force_ot(mu, nu, "sqdist") == pytest.approx(
-        unregularized_ot_1d(mu, nu, "sqdist")
-    )
-    many = AtomicMeasure([(i / 10.0, 1.0 / 9.0) for i in range(9)])
-    with pytest.raises(ParameterError):
-        brute_force_ot(many, many, "sqdist")
-    uneq = AtomicMeasure([(0.0, 0.3), (1.0, 0.7)])
-    with pytest.raises(ParameterError):
-        brute_force_ot(uneq, uneq, "sqdist")
+    brute = oracles.permutation_ot([0.1, 0.9], [0.2, 0.6], lambda a, b: (a - b) ** 2)
+    assert brute == pytest.approx(unregularized_ot_1d(mu, nu, "sqdist"))
 
 
 # ------------------------------------------------------------------ sweeps

@@ -15,16 +15,11 @@ from entot.solver import (
     cost_field,
     dual_value,
     gibbs_kernel,
-    normalize_gauge,
     optimality_residual,
-    potential_sandwich_check,
     potentials_from_state,
     primal_value,
-    sinkhorn_step_a,
-    sinkhorn_step_b,
     solve,
     solve_logdomain,
-    support_check,
 )
 
 import oracles
@@ -77,55 +72,6 @@ def test_gibbs_kernel_values():
     assert_allclose(K.log_values, -c.values / 0.5)
     with pytest.raises(ParameterError):
         gibbs_kernel(c, 0.0)
-
-
-def test_step_a_uniform_fixed_point():
-    g = unit_grid(16)
-    mu = GridMeasure(g, np.ones(16))
-    K = gibbs_kernel(CostField(g, g, np.zeros((16, 16))), 0.7)
-    a = sinkhorn_step_a(K, np.ones(16), mu)
-    assert_allclose(a, np.ones(16), atol=1e-15)
-
-
-def test_step_a_two_point_hand_value():
-    # h = 1 grid so the quadrature weight drops out of the update
-    g = Grid1D(0.0, 2.0, 2)
-    mu = GridMeasure(g, np.array([0.5, 0.5]))
-    K = gibbs_kernel(cost_field(g, g, "abs"), 1.0)
-    assert_allclose(K.values, [[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]])
-    a = sinkhorn_step_a(K, np.ones(2), mu)
-    expected = 0.5 / (1.0 + np.exp(-1.0))
-    assert_allclose(a, [expected, expected], rtol=1e-15)
-    assert expected == pytest.approx(0.365529, abs=1e-6)
-
-
-def test_step_enforces_marginal_exactly():
-    mu, nu, c = smooth_pair(seed=4)
-    K = gibbs_kernel(c, 0.8)
-    b = np.ones(32)
-    a = sinkhorn_step_a(K, b, mu)
-    plan_m1 = a * (K.values @ b) * mu.grid.h
-    assert np.max(np.abs(plan_m1 - mu.density)) < 1e-13
-    b2 = sinkhorn_step_b(K, a, nu)
-    plan_m2 = b2 * (K.values.T @ a) * nu.grid.h
-    assert np.max(np.abs(plan_m2 - nu.density)) < 1e-13
-
-
-def test_step_zero_marginal_gives_zero_scaling():
-    g = unit_grid(4)
-    d = np.array([0.0, 2.0, 2.0, 0.0])
-    mu = GridMeasure(g, d)
-    K = gibbs_kernel(cost_field(g, g, "sqdist"), 1.0)
-    a = sinkhorn_step_a(K, np.ones(4), mu)
-    assert a[0] == 0.0 and a[3] == 0.0 and np.all(a[1:3] > 0)
-
-
-def test_step_zero_denominator_raises():
-    g = unit_grid(2)
-    mu = GridMeasure(g, np.ones(2))
-    K = gibbs_kernel(CostField(g, g, np.zeros((2, 2))), 1.0)
-    with pytest.raises(DivergedScalingError):
-        sinkhorn_step_a(K, np.zeros(2), mu)
 
 
 def test_solve_trivial_fixed_point():
@@ -243,18 +189,6 @@ def test_gauge_rescaling_leaves_plan_and_dual_alone():
         assert dual_value(rescaled, K, mu, nu) == pytest.approx(base_dual, abs=1e-10)
 
 
-def test_normalize_gauge_unit_a_integral():
-    mu, nu, c = smooth_pair(seed=6)
-    res = solve_logdomain(mu, nu, c, 0.9)
-    state = normalize_gauge(res.state, mu.grid.h)
-    assert float(np.sum(state.a) * mu.grid.h) == pytest.approx(1.0, rel=1e-12)
-    again = normalize_gauge(state, mu.grid.h)
-    assert_allclose(again.a, state.a, rtol=1e-14)
-    dead = DualState(np.zeros(4), np.ones(4), np.full(4, -np.inf), np.zeros(4))
-    with pytest.raises(ParameterError):
-        normalize_gauge(dead, 0.25)
-
-
 def test_optimality_residual_small_after_convergence():
     mu, nu, c = smooth_pair(seed=7)
     res = solve_logdomain(mu, nu, c, 0.2, tol=1e-11)
@@ -287,7 +221,7 @@ def test_support_structure_and_check():
     nu = GridMeasure(g, dnu, renormalize=True)
     c = cost_field(g, g, "sqdist")
     res = solve_logdomain(mu, nu, c, 0.4, tol=1e-10)
-    assert support_check(res.plan, mu, nu)
+    assert oracles.support_check(res.plan.values, mu.density, nu.density)
     inside = res.plan.values[2:7, 5:11]
     assert np.all(inside > 1e-300)
     outside = res.plan.values.copy()
@@ -306,9 +240,9 @@ def test_potentials_recover_scalings():
 def test_potential_sandwich_after_gauge_fix():
     mu, nu, c = smooth_pair(seed=9)
     res = solve_logdomain(mu, nu, c, 0.25, tol=1e-11)
-    K = gibbs_kernel(c, 0.25)
-    state = normalize_gauge(res.state, mu.grid.h)
-    check = potential_sandwich_check(state, K, mu)
+    check = oracles.potential_sandwich_check(
+        res.state.log_a, res.state.log_b, c.values, 0.25, mu.density, nu.grid.h
+    )
     assert check.k_const >= 0.0
     assert check.holds, check.max_violation
 
@@ -363,6 +297,17 @@ def test_log_mode_falls_back_where_the_stabilized_kernel_underflows():
     )
     assert rep.iterations == iterations
     assert np.max(np.abs(res.plan.values - plan)) <= 1e-12 * plan.max()
+
+
+def test_vanishing_denominator_raises_diverged_scaling():
+    # one cell each, a unit apart: exp(-1/gamma) underflows to 0 in direct mode
+    g = Grid1D(0.0, 2.0, 2)
+    mu = GridMeasure(g, np.array([1.0, 0.0]))
+    nu = GridMeasure(g, np.array([0.0, 1.0]))
+    with pytest.raises(DivergedScalingError) as err:
+        solve(mu, nu, "sqdist", 1e-3)
+    assert (err.value.side, err.value.iteration) == ("a", 1)
+    assert solve_logdomain(mu, nu, "sqdist", 1e-3).report.converged
 
 
 def test_direct_mode_overflows_at_tiny_gamma():
@@ -489,10 +434,23 @@ def test_report_carries_the_sandwich_bound_of_either_kernel(monkeypatch, crossov
         res = run(mu, nu, "sqdist", gamma)
         rep = res.report
         assert rep.kernel == ("fft" if crossover == 0 else "dense")
-        check = potential_sandwich_check(res.state, gibbs_kernel(table, gamma), mu)
+        check = oracles.potential_sandwich_check(
+            res.state.log_a, res.state.log_b, table.values, gamma, mu.density, nu.grid.h
+        )
         assert rep.sandwich_k == pytest.approx(check.k_const, rel=1e-12, abs=1e-12)
         assert rep.sandwich_violation == pytest.approx(check.max_violation, rel=1e-12, abs=1e-12)
         assert rep.sandwich_violation <= 1e-9
+
+
+def test_returned_state_is_gauge_normalized(monkeypatch):
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    mu, nu = shifted_pair(96, seed=8, holes=True)
+    table = cost_field(mu.grid, nu.grid, "sqdist")
+    for cost, kernel in ((table, "dense"), ("sqdist", "fft")):
+        for run in (solve, solve_logdomain):
+            res = run(mu, nu, cost, 0.3)
+            assert res.report.kernel == kernel
+            assert abs(float(np.sum(res.state.a) * mu.grid.h) - 1.0) <= 1e-12
 
 
 def test_gate_names_the_condition_that_keeps_the_fft_kernel_off(monkeypatch):
