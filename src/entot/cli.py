@@ -20,8 +20,11 @@ and null is accepted only for an option that is unset by default, such as
 solve's --plan. Any other value is an invalid parameter. So are a
 non-finite --gamma, --gammas value or --tol, an empty output path (--out,
 and solve's --plan), and a cost file or stored plan whose grids are not
-those of --mu and --nu. Outputs are written atomically (all files appear,
-or none). Exit codes: 0 success, 2 usage, 3 invalid parameter or an input
+those of --mu and --nu. --threads is checked and ignored: the sweeps solve
+their points in order, a point that does not converge or overflows is a
+failed row (exit 5), and an invalid parameter at any point exits 3 and
+writes nothing. Outputs are written atomically (all files appear, or
+none). Exit codes: 0 success, 2 usage, 3 invalid parameter or an input
 that exists but cannot be read, 4 missing input file, 5 computation failed
 or did not converge, 6 output write failure.
 
@@ -40,7 +43,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -215,8 +218,8 @@ _OPTIONS: Dict[str, _Option] = {
     "out_dir": _Option("directory prefixed to relative output paths"),
     "quiet": _Option("suppress progress output", bool),
     "threads": _Option(
-        "worker threads for the points of gamma-limit; the other subcommands accept "
-        "and ignore it (default 1, bitwise reproducible)", int, check=_positive
+        "accepted and ignored: sweep points are solved one after another, in order; "
+        "kept so that existing command lines and config files still run", int, check=_positive
     ),
     "mu": _Option(
         "first marginal: CSV with x,density rows; for gamma-limit atoms:loc:mass,...",
@@ -477,25 +480,27 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
     }
 
 
-def _solver_for(o: Dict[str, object]) -> Callable[[float], solver.SolveResult]:
-    """Load --mu, --nu and --cost; return gamma -> the --mode solve at that gamma."""
+def _load_problem(o: Dict[str, object]) -> Tuple[
+    measures.GridMeasure, measures.GridMeasure, Union[solver.CostField, str]
+]:
+    """Load --mu, --nu and --cost, a rule name as it is, to be evaluated on the supports only."""
     mu = _load_measure(o["mu"])
     nu = _load_measure(o["nu"])
     if o.get("plan") is not None:  # solve --plan: refuse an oversized plan before solving
         solver._check_plan_cells(mu.grid.n, nu.grid.n)
-    cost = o["cost"]  # a rule name goes through, to be evaluated on the supports only
+    cost = o["cost"]
     if cost not in solver.COST_RULES:
         cost = _build_cost(cost, mu, nu, (mu.grid, nu.grid))
-    run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
-    return lambda gamma: run(mu, nu, cost, gamma, tol=o["tol"], max_iter=o["max_iter"])
+    return mu, nu, cost
 
 
 def _cmd_solve(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    solve = _solver_for(o)
+    mu, nu, cost = _load_problem(o)
+    run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
     code = EXIT_OK
     try:
-        result = solve(o["gamma"])
+        result = run(mu, nu, cost, o["gamma"], tol=o["tol"], max_iter=o["max_iter"])
         report = result.report
     except solver.ConvergenceError as exc:
         result, report, code = None, exc.report, EXIT_FAILED
@@ -515,29 +520,23 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
 
 def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    solve = _solver_for(o)
+    mu, nu, cost = _load_problem(o)
     rows = []
-    worst = EXIT_OK
     for gamma in _parse_floats(o["gammas"]):
-        try:
-            rep = solve(gamma).report
-            status = "ok"
-        except solver.ConvergenceError as exc:
-            rep, status, worst = exc.report, "failed: no convergence", EXIT_FAILED
-        except solver.SolverError as exc:
-            rows.append((gamma, 0, float("nan"), float("nan"), float("nan"),
-                         float("nan"), float("nan"), f"failed: {exc}"))
-            worst = EXIT_FAILED
-            continue
-        rows.append(
-            (gamma, rep.iterations, rep.primal_value, rep.dual_value, rep.gap,
-             rep.optimality_residual[0], rep.optimality_residual[1], status)
-        )
+        rep, status = solver.sweep_point(mu, nu, cost, gamma, o["tol"], o["max_iter"], o["mode"])
+        if rep is None:
+            nan = float("nan")
+            rows.append((gamma, 0, nan, nan, nan, nan, nan, status))
+        else:
+            rows.append(
+                (gamma, rep.iterations, rep.primal_value, rep.dual_value, rep.gap,
+                 rep.optimality_residual[0], rep.optimality_residual[1], status)
+            )
     header = ["gamma", "iterations", "primal", "dual", "gap", "r1", "r2", "status"]
     emit_files({_resolve_out(o["out"], o["out_dir"]): measures._csv_text(header, rows)})
     if not o["quiet"]:
         print(f"swept {len(rows)} gamma values -> {o['out']}")
-    return worst
+    return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_FAILED
 
 
 def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
@@ -549,8 +548,7 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     grid = measures.Grid1D(lo, hi, o["n"])
     ext = gl.ExtendedDomain.extend(grid, max(d for _, d in schedule))
     points = gl.gamma_sweep(
-        mu, nu, o["cost"], schedule, ext,
-        tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"], threads=o["threads"],
+        mu, nu, o["cost"], schedule, ext, tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"]
     )
     rows = []
     for p in points:

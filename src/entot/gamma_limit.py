@@ -12,7 +12,6 @@ in the difference.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -21,7 +20,7 @@ import numpy as np
 from .measures import AtomicMeasure, Grid1D, GridMeasure
 from .orlicz import neg_entropy
 from . import solver
-from .solver import COST_RULES, ConvergenceError, ParameterError, SolverError
+from .solver import COST_RULES, ParameterError
 
 __all__ = [
     "Mollifier",
@@ -39,6 +38,11 @@ CONVEX_RULES = ("sqdist", "abs")
 
 #: required resolution: the kernel width must span at least this many cells
 MIN_CELLS_PER_DELTA = 4
+
+#: cells an extended grid may have: 32 MiB per array, 6.5 times the 640 000
+#: cells of the finest benchmark case; since delta is at most the margin, it
+#: also bounds the mollifier's normalization grid, about 8 delta / h points
+_EXTENDED_CELLS = 1 << 22
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
@@ -103,7 +107,8 @@ class ExtendedDomain:
     """An original grid together with its extension by whole cells on both sides.
 
     The extension keeps the cell width, so original centers reappear among
-    the extended centers; the margin must cover the widest kernel used.
+    the extended centers; the margin must cover the widest kernel used. An
+    extended grid above :data:`_EXTENDED_CELLS` cells is refused.
     """
 
     original: Grid1D
@@ -115,7 +120,13 @@ class ExtendedDomain:
         if not 0 <= margin < math.inf:
             raise ParameterError(f"extension margin must be finite and nonnegative, got {margin}")
         h = original.h
-        k = int(math.ceil(margin / h - 1e-12))
+        k = margin / h - 1e-12
+        k = math.ceil(k) if k < math.inf else k  # a tiny h can overflow the ratio
+        if original.n + 2 * k > _EXTENDED_CELLS:
+            raise ParameterError(
+                f"extending {original.n} cells by {margin!r} on each side asks for "
+                f"{original.n + 2 * k} cells, above the budget of {_EXTENDED_CELLS}"
+            )
         extended = Grid1D(original.lo - k * h, original.hi + k * h, original.n + 2 * k)
         return cls(original, extended, k)
 
@@ -173,12 +184,14 @@ def smooth_marginal(
         half = int(math.floor(delta / grid.h + 1e-12))
         offsets = np.arange(-half, half + 1) * grid.h
         w = kernel(offsets)
-        total = w.sum() * grid.h
-        if total <= 0:
-            raise ParameterError("kernel has no support at this resolution")
-        w = w / total
+        w = w / (w.sum() * grid.h)
         padded = np.zeros(grid.n)
         lo_idx = int(round((m.grid.lo - grid.lo) / grid.h))
+        if lo_idx < 0 or lo_idx + m.grid.n > grid.n:
+            raise ParameterError(
+                f"grid measure on [{m.grid.lo!r}, {m.grid.hi!r}] does not lie within the "
+                f"extended grid [{grid.lo!r}, {grid.hi!r}]"
+            )
         padded[lo_idx : lo_idx + m.grid.n] = m.density
         out = np.convolve(padded, w, mode="same") * grid.h
     else:
@@ -269,49 +282,6 @@ def power_schedule(
     return [(float(g), coeff * float(g) ** exponent) for g in gammas]
 
 
-def _sweep_one(
-    mu: AtomicMeasure,
-    nu: AtomicMeasure,
-    cost: str,
-    reference: float,
-    gamma: float,
-    delta: float,
-    ext: ExtendedDomain,
-    tol: float,
-    max_iter: int,
-    mode: str,
-) -> SweepPoint:
-    nan = float("nan")
-    run = solver.solve if mode == "direct" else solver.solve_logdomain
-    try:
-        mu_d = smooth_marginal(mu, delta, ext)
-        nu_d = smooth_marginal(nu, delta, ext)
-        ent = (neg_entropy(mu_d), neg_entropy(nu_d))
-        # the rule is evaluated on the supports only: fine extended grids
-        # are far too large to tabulate a cost on their product
-        report = run(mu_d, nu_d, cost, gamma, tol=tol, max_iter=max_iter).report
-        status = "ok"
-    except ConvergenceError as exc:
-        report = exc.report
-        status = (
-            f"failed: no convergence in {max_iter} iterations "
-            f"(residual {report.residual_history[-1]:.3e})"
-        )
-    except (SolverError, ValueError) as exc:
-        return SweepPoint(gamma, delta, nan, reference, (nan, nan), nan, nan, 0, f"failed: {exc}")
-    return SweepPoint(
-        gamma=gamma,
-        delta=delta,
-        regularized_value=report.transport_cost,
-        unregularized_reference=reference,
-        entropy_of_smoothed_marginals=ent,
-        primal_value=report.primal_value,
-        entropy_term=report.primal_value - report.transport_cost,
-        iterations=report.iterations,
-        status=status,
-    )
-
-
 def gamma_sweep(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
@@ -321,17 +291,15 @@ def gamma_sweep(
     tol: float = 1e-9,
     max_iter: int = 100000,
     mode: str = "log",
-    threads: int = 1,
 ) -> List[SweepPoint]:
     """Smooth, solve, and record one :class:`SweepPoint` per scheduled pair.
 
     The cost must be a named closed-form rule so it extends to the
     enlarged domain by evaluation; tabulated costs are rejected, and so is
-    an atom outside the original domain, before any point. Points whose
-    solve fails are marked in ``status`` and the sweep continues.
-    Points are independent; with ``threads > 1`` they are evaluated
-    concurrently and returned in schedule order regardless of completion
-    order.
+    an atom outside the original domain, before any point. The points are
+    solved in schedule order. A failed point is marked in ``status`` by the
+    policy of :func:`solver.sweep_point`, and the sweep continues; a
+    ``ParameterError`` at any point ends it.
     """
     if not schedule:
         raise ParameterError("schedule must list at least one (gamma, delta) pair")
@@ -343,11 +311,22 @@ def gamma_sweep(
             raise ParameterError(f"gamma must be positive and finite, got {g}")
         _check_delta(d, ext)
     reference = unregularized_ot_1d(mu, nu, cost)
-    args = [
-        (mu, nu, cost, reference, float(g), float(d), ext, tol, max_iter, mode)
-        for g, d in schedule
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda a: _sweep_one(*a), args))
-    return [_sweep_one(*a) for a in args]
+    nan = float("nan")
+    points = []
+    for g, d in schedule:
+        gamma, delta = float(g), float(d)
+        mu_d = smooth_marginal(mu, delta, ext)
+        nu_d = smooth_marginal(nu, delta, ext)
+        # the rule is evaluated on the supports only: fine extended grids
+        # are far too large to tabulate a cost on their product
+        report, status = solver.sweep_point(mu_d, nu_d, cost, gamma, tol, max_iter, mode)
+        if report is None:
+            points.append(SweepPoint(gamma, delta, nan, reference, (nan, nan), nan, nan, 0, status))
+        else:
+            value, primal = report.transport_cost, report.primal_value
+            ent = (neg_entropy(mu_d), neg_entropy(nu_d))
+            points.append(SweepPoint(
+                gamma, delta, value, reference, ent, primal, primal - value, report.iterations, status
+            ))
+        del mu_d, nu_d  # else fine grids hold two points' marginals while smoothing
+    return points

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "gibbs_kernel",
     "solve",
     "solve_logdomain",
+    "sweep_point",
     "primal_value",
     "dual_value",
     "optimality_residual",
@@ -118,6 +119,26 @@ class ConvergenceError(SolverError):
             f"no convergence after {report.iterations} iterations, last residual "
             f"{report.residual_history[-1]:.3e}"
         )
+
+
+def sweep_point(
+    mu: GridMeasure, nu: GridMeasure, c: Union[CostField, str], gamma: float, tol: float,
+    max_iter: int, mode: str,
+) -> Tuple[Optional[SolveReport], str]:
+    """Solve one sweep point in ``mode``; return its report and status, by the sweeps' one policy.
+
+    No convergence keeps the report, with the status ``failed: no convergence in N
+    iterations (residual X)``; a scaling that overflows or vanishes gives no report
+    and ``failed: <reason>``; a :class:`ParameterError` propagates.
+    """
+    run = solve if mode == "direct" else solve_logdomain
+    try:
+        return run(mu, nu, c, gamma, tol=tol, max_iter=max_iter).report, "ok"
+    except ConvergenceError as exc:
+        residual = exc.report.residual_history[-1]
+        return exc.report, f"failed: no convergence in {max_iter} iterations (residual {residual:.3e})"
+    except (DirectOverflowError, DivergedScalingError) as exc:
+        return None, f"failed: {exc}"
 
 
 def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:

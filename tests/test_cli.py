@@ -356,6 +356,24 @@ def test_sweep_gamma_csv(tmp_path, marginal_files):
     assert all(line.endswith("ok") for line in lines[1:])
 
 
+def test_sweep_gamma_marks_failed_points_and_exits_5(tmp_path, marginal_files):
+    mu, nu = marginal_files
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-gamma", "--mu", mu, "--nu", nu, "--gammas", "0.5", "--max-iter", "1"]
+    assert run([*argv, "--out", str(out), "--quiet"]) == 5
+    assert ",failed: no convergence in 1 iterations (residual " in out.read_text()
+    # one cell each, a unit apart: exp(-1/gamma) underflows to 0 in direct mode
+    g = Grid1D(0.0, 2.0, 2)
+    for name, density in (("a.csv", [1.0, 0.0]), ("b.csv", [0.0, 1.0])):
+        write_measure_csv(tmp_path / name, GridMeasure(g, np.array(density)))
+    argv = ["sweep-gamma", "--mu", str(tmp_path / "a.csv"), "--nu", str(tmp_path / "b.csv"),
+            "--mode", "direct", "--gammas", "0.001,1"]
+    assert run([*argv, "--out", str(out), "--quiet"]) == 5
+    failed, ok = out.read_text().splitlines()[1:]
+    assert failed == "0.001,0,nan,nan,nan,nan,nan,failed: scaling denominator vanished on the a side at iteration 1"
+    assert ok.endswith(",ok")
+
+
 def test_gamma_limit_csv_and_schedule_parsing(tmp_path):
     out = tmp_path / "gl.csv"
     code = run(

@@ -5,10 +5,11 @@ mixed with wrong JSON types, booleans, NaN, infinities and malformed atoms,
 schedules and domains. ``cli.main`` runs in-process; argparse's usage exit
 counts as 2, and any other exception fails the test.
 
-Sizes are capped so that no example allocates much or starts many threads:
---n <= 512, --max-iter <= 200 (always given as a flag, since the default
-allows 100000 iterations), --threads <= 2, and input files of at most 16
-cells. Every value that sets a delta keeps it below 1.
+Sizes are capped so that no example allocates much: --n <= 512,
+--max-iter <= 200 (always given as a flag, since the default allows 100000
+iterations), and input files of at most 16 cells. Every value that sets a
+delta keeps it below 1. --threads takes 1 and 2, which every subcommand
+checks and ignores.
 """
 
 import json
@@ -245,3 +246,22 @@ def test_oversized_dense_block_exits_3_before_allocating(tmp_path):
     # at gamma = 0.5 the FFT kernel runs, in O(n) memory
     assert cli.main([*common, "--gamma", "0.5", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["kernel"] == "fft"
+    # a sweep whose second point is refused exits 3 as solve does, and writes nothing
+    sweep = tmp_path / "sweep.csv"
+    common[0] = "sweep-gamma"
+    assert cli.main([*common, "--gammas", "0.5,0.001", "--out", str(sweep)]) == 3
+    assert not sweep.exists()
+
+
+def test_gamma_limit_over_a_budget_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "limit.csv"
+    atoms = ["gamma-limit", "--mu", "atoms:0.5:1", "--nu", "atoms:0.5:1", "--quiet", "--out", str(out)]
+    # the second point's 19986 x 19986 support block is over the dense kernel's budget
+    argv = [*atoms, "--n", "40000", "--schedule", "pairs:0.1:0.25,0.001:0.25"]
+    assert cli.main(argv) == 3
+    assert "exceeds the dense kernel's budget" in capsys.readouterr().err
+    assert not out.exists()
+    # 10^12 cells are refused before the extended grid or the mollifier allocates
+    assert cli.main([*atoms, "--n", "1000000000000", "--schedule", "pairs:0.1:0.1"]) == 3
+    assert "asks for 1200000000000 cells, above the budget" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from entot.measures import AtomicMeasure, Grid1D, GridMeasure
-from entot import solver
+from entot import gamma_limit, solver
 from entot.orlicz import neg_entropy
 from entot.solver import ParameterError, cost_field, solve_logdomain
 from entot.gamma_limit import (
@@ -72,6 +74,23 @@ def test_extend_margin_is_whole_cells():
     ext = ExtendedDomain.extend(base, 0.123)
     assert ext.margin == pytest.approx(ext.cells * base.h)
     assert ext.margin + 1e-12 >= 0.123
+
+
+def test_extend_refuses_a_grid_over_the_budget_before_allocating():
+    budget = gamma_limit._EXTENDED_CELLS
+    assert ExtendedDomain.extend(Grid1D(0.0, 1.0, budget), 0.0).extended.n == budget
+    with pytest.raises(ParameterError, match=rf"asks for {budget + 2} cells, above the budget of {budget}"):
+        ExtendedDomain.extend(Grid1D(0.0, 1.0, budget), 1.0 / budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=rf"asks for 1200000000000 cells, above the budget of {budget}"):
+            ExtendedDomain.extend(Grid1D(0.0, 1.0, 10**12), 0.1)
+        # a margin so many cells wide that the cell count overflows a float
+        with pytest.raises(ParameterError, match="asks for inf cells"):
+            ExtendedDomain.extend(Grid1D(0.0, 1e-300, 10), 1e10)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- smoothing
@@ -160,6 +179,15 @@ def test_smooth_marginal_refuses_an_atom_outside_the_domain():
             smooth_marginal(atoms, 0.1, ext)
     ends = smooth_marginal(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]), 0.1, ext)
     assert ends.mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_smooth_grid_measure_refuses_a_grid_outside_the_extended_grid():
+    ext = extended(n=64)  # [0, 1], extended by 0.25 on both sides
+    for lo in (-0.5, 0.5, 5.0):
+        m = GridMeasure(Grid1D(lo, lo + 1.0, 64), np.ones(64))
+        match = rf"grid measure on \[{lo!r}, {lo + 1.0!r}\] does not lie within the extended grid \[-0.25, 1.25\]"
+        with pytest.raises(ParameterError, match=match):
+            smooth_marginal(m, 0.1, ext)
 
 
 # ------------------------------------------------------------ 1d transport
@@ -276,6 +304,12 @@ def test_sweep_marks_failures_and_continues():
         assert np.isfinite(p.regularized_value)
     ok = simple_sweep([(0.2, 0.2)], max_iter=1000)
     assert ok[0].status == "ok"
+    # exp(-1/0.001) underflows in direct arithmetic: a NaN point, and the sweep goes on
+    failed, ok = simple_sweep([(0.001, 0.1), (0.2, 0.1)], mode="direct")
+    assert failed.status == "failed: scaling denominator vanished on the a side at iteration 1"
+    assert np.isnan([failed.regularized_value, *failed.entropy_of_smoothed_marginals]).all()
+    assert failed.iterations == 0
+    assert ok.status == "ok"
 
 
 def test_sweep_solves_through_the_public_solves(monkeypatch):
@@ -321,11 +355,3 @@ def test_sweep_requires_named_cost():
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 256), 0.2)
     with pytest.raises(ParameterError):
         gamma_sweep(mu, nu, lambda x, y: (x - y) ** 2, [(0.2, 0.2)], ext)
-
-
-def test_sweep_threaded_matches_serial():
-    schedule = [(0.2, 0.2), (0.1, 0.1), (0.05, 0.05)]
-    serial = simple_sweep(schedule, threads=1)
-    threaded = simple_sweep(schedule, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a == b
