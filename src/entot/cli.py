@@ -521,9 +521,18 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
 def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
+    gammas = _parse_floats(o["gammas"])
+    # each distinct gamma once, in decreasing order, warm-started from the
+    # potential of the last point that solved; rows keep the given order
+    solved, beta = {}, None
+    for gamma in sorted(set(gammas), reverse=True):
+        rep, status, beta = solver.sweep_point(
+            mu, nu, cost, gamma, o["tol"], o["max_iter"], o["mode"], beta
+        )
+        solved[gamma] = rep, status
     rows = []
-    for gamma in _parse_floats(o["gammas"]):
-        rep, status = solver.sweep_point(mu, nu, cost, gamma, o["tol"], o["max_iter"], o["mode"])
+    for gamma in gammas:
+        rep, status = solved[gamma]
         if rep is None:
             nan = float("nan")
             rows.append((gamma, 0, nan, nan, nan, nan, nan, status))

@@ -319,7 +319,7 @@ def gamma_sweep(
         nu_d = smooth_marginal(nu, delta, ext)
         # the rule is evaluated on the supports only: fine extended grids
         # are far too large to tabulate a cost on their product
-        report, status = solver.sweep_point(mu_d, nu_d, cost, gamma, tol, max_iter, mode)
+        report, status, _ = solver.sweep_point(mu_d, nu_d, cost, gamma, tol, max_iter, mode)
         if report is None:
             points.append(SweepPoint(gamma, delta, nan, reference, (nan, nan), nan, nan, 0, status))
         else:

@@ -111,34 +111,47 @@ class DirectOverflowError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """Marginal residual did not reach tol within max_iter; carries the report."""
+    """Marginal residual did not reach tol; carries the report.
 
-    def __init__(self, report: "SolveReport"):
+    Either ``max_iter`` ran out, or the loop stopped early (``stalled``)
+    because its iterate repeated bit for bit, which no further pass can change.
+    """
+
+    def __init__(self, report: "SolveReport", stalled: bool = False):
         self.report = report
-        super().__init__(
-            f"no convergence after {report.iterations} iterations, last residual "
-            f"{report.residual_history[-1]:.3e}"
+        self.stalled = stalled
+        what = (
+            f"no convergence: the iterate stopped changing at iteration {report.iterations}"
+            if stalled else f"no convergence in {report.iterations} iterations"
         )
+        super().__init__(f"{what} (residual {report.residual_history[-1]:.3e})")
 
 
 def sweep_point(
     mu: GridMeasure, nu: GridMeasure, c: Union[CostField, str], gamma: float, tol: float,
-    max_iter: int, mode: str,
-) -> Tuple[Optional[SolveReport], str]:
-    """Solve one sweep point in ``mode``; return its report and status, by the sweeps' one policy.
+    max_iter: int, mode: str, beta0: Optional[np.ndarray] = None,
+) -> Tuple[Optional[SolveReport], str, Optional[np.ndarray]]:
+    """Solve one sweep point in ``mode`` by the sweeps' one policy; return report, status, potential.
 
-    No convergence keeps the report, with the status ``failed: no convergence in N
-    iterations (residual X)``; a scaling that overflows or vanishes gives no report
-    and ``failed: <reason>``; a :class:`ParameterError` propagates.
+    ``beta0`` warm-starts the solve, as in :func:`solve`. A warm solve that
+    fails is redone cold once, so a warm start never fails a point that
+    solves cold. No convergence keeps the report, with the status ``failed:
+    no convergence in N iterations (residual X)``, or ``failed: no
+    convergence: the iterate stopped changing at iteration N (residual X)``
+    when the loop stopped at a fixed point; a scaling that overflows or
+    vanishes gives no report and ``failed: <reason>``; a
+    :class:`ParameterError` propagates. An ``ok`` point also returns its
+    potential beta on supp nu, for the next point to start from; a failed
+    one returns None.
     """
     run = solve if mode == "direct" else solve_logdomain
     try:
-        return run(mu, nu, c, gamma, tol=tol, max_iter=max_iter).report, "ok"
-    except ConvergenceError as exc:
-        residual = exc.report.residual_history[-1]
-        return exc.report, f"failed: no convergence in {max_iter} iterations (residual {residual:.3e})"
-    except (DirectOverflowError, DivergedScalingError) as exc:
-        return None, f"failed: {exc}"
+        result = run(mu, nu, c, gamma, tol=tol, max_iter=max_iter, beta0=beta0)
+    except (ConvergenceError, DirectOverflowError, DivergedScalingError) as exc:
+        if beta0 is not None:
+            return sweep_point(mu, nu, c, gamma, tol, max_iter, mode)
+        return (exc.report if isinstance(exc, ConvergenceError) else None), f"failed: {exc}", None
+    return result.report, "ok", gamma * result._log_ab[1]
 
 
 def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -399,16 +412,19 @@ class _DenseKernel:
             else (self.K.T, self.c.T, self.g, self.f, self.h1)
         )
         log_d = np.log(K @ np.exp(log_v - g) * h) - f
-        if self.absorbing and not np.all(np.isfinite(log_d)):
+        if np.isfinite(log_d).all():
+            return log_d
+        if self.absorbing:
             self.fallbacks += 1
             m = c / -self.gamma
             m += log_v + np.log(h)
             log_d = _logsumexp(m, axis=1)
-        if not np.all(np.isfinite(log_d)):  # -inf: vanished; +inf or NaN: overflowed
-            if np.any(log_d == -np.inf):
-                raise DivergedScalingError(it, side)
-            raise DirectOverflowError(it)
-        return log_d
+            if np.isfinite(log_d).all():
+                return log_d
+        # -inf: vanished; +inf or NaN: overflowed
+        if np.any(log_d == -np.inf):
+            raise DivergedScalingError(it, side)
+        raise DirectOverflowError(it)
 
     def rows(self, log_v: np.ndarray, it: int) -> np.ndarray:
         return self._reduce(log_v, it, "a")
@@ -416,11 +432,16 @@ class _DenseKernel:
     def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
         return self._reduce(log_u, it, "b")
 
-    def absorb(self, log_a: np.ndarray, log_b: np.ndarray) -> None:
-        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift."""
+    def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
+        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift.
+
+        Only the drift of ``side``, the one just updated, is measured: f and
+        g change together, so the other side's drift is 0 or was found within
+        bounds at its own update.
+        """
         if self.absorbing and (
             not self.absorptions
-            or max(np.max(np.abs(log_a - self.f)), np.max(np.abs(log_b - self.g))) > _ABSORB_AT
+            or np.abs(log_a - self.f if side == "a" else log_b - self.g).max() > _ABSORB_AT
         ):
             self.f[:], self.g[:] = log_a, log_b
             self._build()
@@ -500,7 +521,7 @@ class _ToeplitzKernel:
     def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
         return self._denominators(*self._b, log_u, it, "b")
 
-    def absorb(self, log_a: np.ndarray, log_b: np.ndarray) -> None:
+    def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
         """Nothing to absorb: each pass shifts its input by its maximum."""
 
     def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
@@ -545,30 +566,37 @@ def _cost_block(c, grids, masks) -> np.ndarray:
     return _rule_values(c, *(_centers(g, np.flatnonzero(m)) for g, m in zip(grids, masks)))
 
 
-def _scale(kernel, mu_s, nu_t, h2, tol, max_iter):
-    """Alternate a- and b-passes until the second marginal is within tol.
+def _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
+    """Alternate a- and b-passes from ``log_b`` until the second marginal is within tol.
 
     Each iteration opens with the b-update of the one before, so the loop
-    stops on the iterate its last residual measured. Returns the residuals,
-    log a, log b, the last passes' log row denominators and the plan's
-    column sums.
+    stops on the iterate its last residual measured. The loop is
+    deterministic: once log b repeats with no absorption in between, every
+    later pass repeats too, so it stops there. Only a residual equal to the
+    one before can mark that, so only then are the vectors compared.
+    Returns the residuals, log a, log b, the last passes' log row
+    denominators and the plan's column sums.
     """
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
-    log_b = np.zeros_like(nu_t)
     residuals: list = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             if it > 1:
+                last_b, last_absorptions = log_b, absorptions
                 log_b = log_nu - col
-                kernel.absorb(log_a, log_b)
+                kernel.absorb(log_a, log_b, "b")
+            absorptions = kernel.absorptions
             row = kernel.rows(log_b, it)
             log_a = log_mu - row
-            kernel.absorb(log_a, log_b)
+            kernel.absorb(log_a, log_b, "a")
             col = kernel.cols(log_a, it)
             colmarg = np.exp(log_b + col)
             residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
-            if residuals[-1] <= tol:
+            if residuals[-1] <= tol or (
+                it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
+                and np.array_equal(log_b, last_b)
+            ):
                 break
     return residuals, log_a, log_b, row, colmarg
 
@@ -581,6 +609,7 @@ def _solve(
     tol: float,
     max_iter: int,
     mode: str,
+    beta0: Optional[np.ndarray],
 ) -> SolveResult:
     """Check the inputs, scale on supp mu x supp nu, and report from the last passes.
 
@@ -594,7 +623,8 @@ def _solve(
     log-sum-exp, ``"direct"`` mode raises on a non-finite denominator. The
     dense kernel refuses support blocks above :data:`_DENSE_CELLS`. The
     report names the kernel and, for the dense one, why the FFT kernel did
-    not run or was abandoned.
+    not run or was abandoned. The loop starts from log b = 0, or from
+    ``beta0`` / gamma shifted to a maximum of 0; either kernel starts there.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -614,6 +644,15 @@ def _solve(
     mu_s = mu.density[smask]
     nu_t = nu.density[tmask]
     h1, h2 = mu.grid.h, nu.grid.h
+    if beta0 is None:
+        log_b0 = np.zeros_like(nu_t)
+    else:
+        beta0 = np.asarray(beta0, dtype=float)
+        if beta0.shape != nu_t.shape or not np.all(np.isfinite(beta0)):
+            raise ParameterError(f"beta0 must hold {nu_t.size} finite values, one per cell of supp nu")
+        # the shift is a gauge choice: it keeps exp(log b) <= 1 in direct mode
+        with np.errstate(over="ignore"):
+            log_b0 = (beta0 - beta0.max()) / gamma
 
     si, ti = np.flatnonzero(smask), np.flatnonzero(tmask)
     x_hull = _centers(mu.grid, np.arange(si[0], si[-1] + 1))
@@ -623,7 +662,7 @@ def _solve(
     if not reason:
         kernel = _ToeplitzKernel(c, x_hull, y_hull, ti - ti[0], si - si[0], gamma, h1, h2)
         try:
-            residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter)
+            residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b0)
         except _Abandoned as exc:
             reason = f"FFT kernel abandoned at the {exc}"
     if reason:
@@ -633,7 +672,7 @@ def _solve(
                 f"{_DENSE_CELLS} cells, and the FFT kernel cannot run: {reason}"
             )
         kernel = _DenseKernel(_cost_block(c, grids, masks), gamma, h1, h2, mode == "log")
-        residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter)
+        residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b0)
 
     # pi = a K b: the cost part is one more matvec
     cost = kernel.cost(log_a, log_b) * h1 * h2
@@ -677,7 +716,8 @@ def _solve(
         sandwich_violation=sandwich_violation,
     )
     if not report.converged:
-        raise ConvergenceError(report)
+        # the loop ends early without converging only at a fixed point
+        raise ConvergenceError(report, stalled=report.iterations < max_iter)
     return SolveResult(report, grids, masks, (log_a, log_b), c, float(gamma))
 
 
@@ -688,6 +728,8 @@ def solve(
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
+    *,
+    beta0: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Alternate scaling in direct arithmetic until the marginals match.
 
@@ -707,6 +749,14 @@ def solve(
     max_iter : int
         Iteration cap; one iteration is one a-pass plus, if the stopping
         rule is not yet met, one b-pass.
+    beta0 : array, optional
+        A warm start: a dual potential beta on supp nu, one value per cell
+        where nu > 0, such as ``res.potentials.beta[nu.density > 0]`` of a
+        solve at a nearby gamma. The loop then starts from log b =
+        beta0 / gamma, shifted so that its maximum is 0, instead of from
+        log b = 0: the potential, not log b, carries over between gammas.
+        The result meets the same tol, and its values can differ from a
+        cold solve's by about tol.
 
     Returns
     -------
@@ -717,12 +767,13 @@ def solve(
     Raises
     ------
     ConvergenceError
-        If max_iter is exhausted; the report rides on the exception.
+        If max_iter is exhausted, or earlier if the iterate stops changing
+        (``stalled``); the report rides on the exception.
     DirectOverflowError
         If scaling vectors leave the double range (small gamma); the
         log-domain variant handles those instances.
     """
-    return _solve(mu, nu, c, gamma, tol, max_iter, "direct")
+    return _solve(mu, nu, c, gamma, tol, max_iter, "direct", beta0)
 
 
 def solve_logdomain(
@@ -732,6 +783,8 @@ def solve_logdomain(
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
+    *,
+    beta0: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Same contract as :func:`solve`, stabilized by absorption.
 
@@ -742,7 +795,7 @@ def solve_logdomain(
     where it runs, is the same in both modes. The plan agrees with the
     direct mode to 1e-8 entrywise whenever the latter completes.
     """
-    return _solve(mu, nu, c, gamma, tol, max_iter, "log")
+    return _solve(mu, nu, c, gamma, tol, max_iter, "log", beta0)
 
 
 def primal_value(plan: TransportPlan, c: CostField, gamma: float) -> float:

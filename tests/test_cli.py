@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -372,6 +373,18 @@ def test_sweep_gamma_marks_failed_points_and_exits_5(tmp_path, marginal_files):
     failed, ok = out.read_text().splitlines()[1:]
     assert failed == "0.001,0,nan,nan,nan,nan,nan,failed: scaling denominator vanished on the a side at iteration 1"
     assert ok.endswith(",ok")
+
+
+def test_a_loop_at_a_fixed_point_stops_at_once_and_exits_5(tmp_path):
+    # exp(-1/gamma) is 0 in double precision: log b repeats from the fourth
+    # pass on, and the default 100000 passes would take seconds
+    out = tmp_path / "gl.csv"
+    argv = ["gamma-limit", "--mu", "atoms:0:1", "--nu", "atoms:1:1", "--schedule", "pairs:1e-300:0.1"]
+    start = time.perf_counter()
+    assert run([*argv, "--out", str(out), "--quiet"]) == 5
+    assert time.perf_counter() - start < 1.0
+    status = out.read_text().splitlines()[1].split(",")[-1]
+    assert status.startswith("failed: no convergence: the iterate stopped changing at iteration ")
 
 
 def test_gamma_limit_csv_and_schedule_parsing(tmp_path):

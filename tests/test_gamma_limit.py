@@ -327,6 +327,22 @@ def test_sweep_solves_through_the_public_solves(monkeypatch):
     assert calls == {"solve": 1, "solve_logdomain": 2}
 
 
+def test_a_solve_at_a_fixed_point_stops_and_says_so():
+    # at gamma = 1e-300 log b repeats bit for bit from the fourth pass on
+    ext = extended(n=64, margin=0.1)
+    mu = smooth_marginal(AtomicMeasure([(0.0, 1.0)]), 0.1, ext)
+    nu = smooth_marginal(AtomicMeasure([(1.0, 1.0)]), 0.1, ext)
+    with pytest.raises(solver.ConvergenceError) as err:
+        solve_logdomain(mu, nu, "sqdist", 1e-300)
+    assert err.value.stalled
+    assert err.value.report.iterations == 4
+    assert str(err.value).startswith("no convergence: the iterate stopped changing at iteration 4 (")
+    with pytest.raises(solver.ConvergenceError) as err:
+        solve_logdomain(mu, nu, "sqdist", 1e-300, max_iter=3)
+    assert not err.value.stalled
+    assert str(err.value).startswith("no convergence in 3 iterations (")
+
+
 def test_sweep_validates_grid_resolution():
     sched = [(0.001, 0.001)]
     with pytest.raises(ParameterError):

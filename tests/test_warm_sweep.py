@@ -1,0 +1,175 @@
+"""sweep-gamma solves its points in decreasing gamma, each warm-started from the last."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from entot import cli, solver
+from entot.measures import Grid1D, GridMeasure, write_measure_csv
+
+TOL = 1e-9
+HEADER = ["gamma", "iterations", "primal", "dual", "gap", "r1", "r2", "status"]
+
+
+def sin_cos_pair(n=48):
+    g = Grid1D(0.0, 1.0, n)
+    x = g.centers
+    mu = GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True)
+    nu = GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True)
+    return mu, nu
+
+
+def write_pair(tmp_path, mu, nu):
+    paths = str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")
+    write_measure_csv(paths[0], mu)
+    write_measure_csv(paths[1], nu)
+    return paths
+
+
+def sweep(tmp_path, paths, gammas, *extra):
+    out = tmp_path / "sweep.csv"
+    code = cli.main([
+        "sweep-gamma", "--mu", paths[0], "--nu", paths[1], "--gammas", gammas,
+        "--tol", repr(TOL), "--out", str(out), "--quiet", *extra,
+    ])
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(HEADER)
+    rows = [dict(zip(HEADER, line.split(","))) for line in lines[1:]]
+    return code, rows
+
+
+def test_chained_sweep_agrees_with_cold_solves(tmp_path):
+    mu, nu = sin_cos_pair()
+    gammas = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
+    code, rows = sweep(tmp_path, write_pair(tmp_path, mu, nu), ",".join(map(repr, gammas)))
+    assert code == 0
+    colds = [solver.solve_logdomain(mu, nu, "sqdist", gamma, tol=TOL).report for gamma in gammas]
+    for row, cold in zip(rows, colds):
+        assert row["status"] == "ok"
+        # A state whose marginals are within tol has primal and dual values
+        # within about osc(potential) * tol of the optimum, and a potential's
+        # range is at most the cost's, 1 for sqdist on [0, 1]. So two such
+        # states differ by at most 2 tol, and their residuals, both at most
+        # tol, by at most tol.
+        assert abs(float(row["primal"]) - cold.primal_value) <= 2 * TOL
+        assert abs(float(row["dual"]) - cold.dual_value) <= 2 * TOL
+        assert abs(float(row["r1"]) - cold.optimality_residual[0]) <= TOL
+        assert abs(float(row["r2"]) - cold.optimality_residual[1]) <= TOL
+    # the first point starts cold; the chain takes about two thirds of the cold passes
+    assert int(rows[0]["iterations"]) == colds[0].iterations
+    assert sum(int(row["iterations"]) for row in rows) < 0.75 * sum(cold.iterations for cold in colds)
+
+
+def test_rows_keep_the_given_order_and_a_repeated_gamma_is_solved_once(tmp_path, monkeypatch):
+    paths = write_pair(tmp_path, *sin_cos_pair())
+    calls = []
+    real = solver.solve_logdomain
+
+    def recorded(mu, nu, c, gamma, *args, beta0=None, **kwargs):
+        calls.append((gamma, beta0))
+        return real(mu, nu, c, gamma, *args, beta0=beta0, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_logdomain", recorded)
+    code, rows = sweep(tmp_path, paths, "0.05,0.2,0.1,0.2")
+    assert code == 0
+    assert [row["gamma"] for row in rows] == ["0.05", "0.2", "0.1", "0.2"]
+    assert rows[1] == rows[3]
+    # solved once each, in decreasing gamma; only the first starts cold
+    assert [gamma for gamma, _ in calls] == [0.2, 0.1, 0.05]
+    assert [beta0 is None for _, beta0 in calls] == [True, False, False]
+
+
+def test_a_failed_point_is_redone_cold_and_the_next_point_starts_cold(tmp_path, monkeypatch):
+    paths = write_pair(tmp_path, *sin_cos_pair())
+    calls = []
+    real = solver.solve_logdomain
+
+    def failing(mu, nu, c, gamma, *args, beta0=None, **kwargs):
+        calls.append((gamma, beta0 is None))
+        if gamma == 0.2:
+            raise solver.DivergedScalingError(1, "a")
+        return real(mu, nu, c, gamma, *args, beta0=beta0, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_logdomain", failing)
+    code, rows = sweep(tmp_path, paths, "0.1,0.2,0.5")
+    assert code == 5
+    assert [row["status"] for row in rows] == [
+        "ok", "failed: scaling denominator vanished on the a side at iteration 1", "ok"
+    ]
+    # 0.2 fails warm, is redone cold and fails again; 0.1 then starts cold
+    assert calls == [(0.5, True), (0.2, False), (0.2, True), (0.1, True)]
+
+
+def test_a_warm_start_that_overflows_gives_the_cold_result(tmp_path, monkeypatch):
+    mu, nu = sin_cos_pair()
+    paths = write_pair(tmp_path, mu, nu)
+    real = solver._scale
+
+    def overflowing(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
+        if np.any(log_b != 0):  # a warm start
+            raise solver.DirectOverflowError(1)
+        return real(kernel, mu_s, nu_t, h2, tol, max_iter, log_b)
+
+    monkeypatch.setattr(solver, "_scale", overflowing)
+    code, rows = sweep(tmp_path, paths, "0.5,0.2,0.1", "--mode", "direct")
+    assert code == 0
+    for row in rows:
+        cold = solver.solve(mu, nu, "sqdist", float(row["gamma"]), tol=TOL).report
+        assert row["status"] == "ok"
+        assert int(row["iterations"]) == cold.iterations
+        assert float(row["primal"]) == cold.primal_value
+        assert float(row["dual"]) == cold.dual_value
+
+
+def test_the_carry_is_the_potential_scaled_to_the_next_gamma(tmp_path, monkeypatch):
+    mu, nu = sin_cos_pair()
+    paths = write_pair(tmp_path, mu, nu)
+    starts = []
+    real = solver._scale
+
+    def recorded(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
+        starts.append(log_b)
+        return real(kernel, mu_s, nu_t, h2, tol, max_iter, log_b)
+
+    monkeypatch.setattr(solver, "_scale", recorded)
+    sweep(tmp_path, paths, "0.1,0.025")
+    assert np.all(starts[0] == 0)
+    # beta = gamma log b of the solve at 0.1, divided by the next gamma and shifted to a maximum of 0
+    log_b = solver.solve_logdomain(mu, nu, "sqdist", 0.1, tol=TOL).state.log_b[nu.density > 0]
+    beta = 0.1 * log_b
+    np.testing.assert_allclose(starts[1], beta / 0.025 - np.max(beta / 0.025), rtol=0, atol=1e-12)
+    assert np.max(starts[1]) == 0
+    # not log b itself: scaled, it spans four times as wide
+    assert np.ptp(starts[1]) == pytest.approx(4 * np.ptp(log_b), rel=1e-12)
+
+
+def test_solve_refuses_a_warm_start_of_the_wrong_size():
+    mu, nu = sin_cos_pair()
+    with pytest.raises(solver.ParameterError, match="beta0"):
+        solver.solve_logdomain(mu, nu, "sqdist", 0.1, beta0=np.zeros(nu.grid.n + 1))
+    with pytest.raises(solver.ParameterError, match="beta0"):
+        solver.solve(mu, nu, "sqdist", 0.1, beta0=np.full(nu.grid.n, np.nan))
+
+
+def _perfbench_problems():
+    """perfbench/problems.py on its own, without run.py's environment set-up."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "problems.py")
+    spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_log_workload_keeps_its_warm_start(tmp_path):
+    # the benchmark's sweep-log inputs at seed 0: 763 iterations cold, 541 chained
+    problems = _perfbench_problems()
+    x, mu, nu = problems.smooth_pair(256, 0)
+    paths = str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")
+    for path, density in zip(paths, (mu, nu)):
+        with open(path, "w") as f:
+            f.write(problems.measure_csv(x, density))
+    code, rows = sweep(tmp_path, paths, "0.1,0.05,0.02,0.01", "--mode", "log")
+    assert code == 0
+    assert sum(int(row["iterations"]) for row in rows) <= 560
