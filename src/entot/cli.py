@@ -146,8 +146,8 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
     if not schedule:
         raise ValueError("must contain at least one point")
     # a negative gamma to a fractional power is complex
-    if not all(isinstance(v, float) and math.isfinite(v) for pair in schedule for v in pair):
-        raise ValueError(f"gamma and delta must be finite real numbers, got {text!r}")
+    if not all(isinstance(v, float) and 0 < v < math.inf for pair in schedule for v in pair):
+        raise ValueError(f"gamma and delta must be positive and finite, got {text!r}")
     return schedule
 
 
@@ -166,16 +166,22 @@ def _output_path(path: str) -> None:
         raise ValueError("must be a non-empty path")
 
 
+_RULE_NAMES = " | ".join(solver.COST_RULES)
+
+
 def _cost_rule(cost: str) -> None:
     if cost.startswith("file:"):
         _existing_file(cost[5:])
-    elif cost not in solver.COST_RULES:
-        raise ValueError(f"must be sqdist, abs, or file:PATH, got {cost}")
+    else:
+        _convex_cost_rule(cost, f"{_RULE_NAMES} | file:PATH")
 
 
-def _convex_cost_rule(cost: str) -> None:
-    if cost not in gl.CONVEX_RULES:
-        raise ValueError(f"must be one of {gl.CONVEX_RULES} for gamma-limit, got {cost}")
+def _convex_cost_rule(cost: str, allowed: str = f"{_RULE_NAMES} for gamma-limit") -> None:
+    """Refuse all but a rule name; every rule is convex in x - y, as gamma-limit's reference needs."""
+    try:
+        solver._rule(cost)
+    except solver.ParameterError:
+        raise ValueError(f"must be {allowed}, got {cost}") from None
 
 
 def _gamma_list(text) -> None:
@@ -226,7 +232,7 @@ _OPTIONS: Dict[str, _Option] = {
         check=_existing_file,
     ),
     "nu": _Option("second marginal, in the form of --mu", check=_existing_file),
-    "cost": _Option("sqdist | abs | file:cost.csv (gamma-limit: sqdist | abs)", check=_cost_rule),
+    "cost": _Option(f"{_RULE_NAMES} | file:cost.csv (gamma-limit: {_RULE_NAMES})", check=_cost_rule),
     "gamma": _Option("regularization weight, positive", float, check=_positive),
     "gammas": _Option(
         "comma-separated gamma values",
@@ -489,7 +495,7 @@ def _load_problem(o: Dict[str, object]) -> Tuple[
     if o.get("plan") is not None:  # solve --plan: refuse an oversized plan before solving
         solver._check_plan_cells(mu.grid.n, nu.grid.n)
     cost = o["cost"]
-    if cost not in solver.COST_RULES:
+    if cost.startswith("file:"):
         cost = _build_cost(cost, mu, nu, (mu.grid, nu.grid))
     return mu, nu, cost
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .measures import AtomicMeasure, Grid1D, GridMeasure
 from .orlicz import neg_entropy
 from . import solver
-from .solver import COST_RULES, ParameterError
+from .solver import ParameterError
 
 __all__ = [
     "Mollifier",
@@ -33,16 +33,16 @@ __all__ = [
     "power_schedule",
 ]
 
-#: cost rules that are convex functions of x - y, eligible for monotone coupling
-CONVEX_RULES = ("sqdist", "abs")
-
 #: required resolution: the kernel width must span at least this many cells
 MIN_CELLS_PER_DELTA = 4
 
 #: cells an extended grid may have: 32 MiB per array, 6.5 times the 640 000
-#: cells of the finest benchmark case; since delta is at most the margin, it
-#: also bounds the mollifier's normalization grid, about 8 delta / h points
+#: cells of the finest benchmark case
 _EXTENDED_CELLS = 1 << 22
+
+#: Z, the integral of exp(-1/(1-s^2)) over (-1, 1); a midpoint sum on
+#: 4 000 000 cells gives the same bits
+_BUMP_MASS = 0.4439938161680794
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
@@ -56,50 +56,37 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_bump(offsets: np.ndarray, delta: float, h: float) -> np.ndarray:
+    """The width-delta bump sampled at ``offsets``, scaled to unit discrete mass on cells of width h.
+
+    The scaling replaces 1 / (Z delta), so smoothing preserves mass to
+    rounding accuracy even at coarse delta/h ratios.
+    """
+    vals = _bump_profile(offsets / delta)
+    vals /= vals.sum() * h
+    return vals
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Bump kernel B_delta(x) = profile(x/delta) / (Z * delta) of width delta.
 
-    Z normalizes the profile to unit integral; it is computed by a
-    midpoint sum at four times the working resolution (spacing
-    ``working_h / 4``). The samples that smoothing takes on a grid are
-    additionally renormalized there, so that it preserves mass to rounding
-    accuracy even at coarse delta/h ratios.
+    Z normalizes the profile to unit integral; it is the constant
+    :data:`_BUMP_MASS` for every delta.
     """
 
     delta: float
-    z: float
-    working_h: float
+    z: ClassVar[float] = _BUMP_MASS
 
-    def __init__(self, delta: float, working_h: Optional[float] = None):
+    def __init__(self, delta: float):
         if not np.isfinite(delta) or delta <= 0:
             raise ParameterError(f"mollifier width must be positive, got {delta}")
-        if working_h is None:
-            working_h = delta / 256.0
-        if working_h <= 0:
-            raise ParameterError("working cell width must be positive")
-        fine = working_h / 4.0
-        m = max(int(math.ceil(delta / fine)), 8)
-        s = (np.arange(-m, m) + 0.5) / m  # midpoints at spacing 1/m in profile units
-        z = float(_bump_profile(s).sum() / m)
         object.__setattr__(self, "delta", float(delta))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "working_h", float(working_h))
 
     def __call__(self, x) -> np.ndarray:
         """Pointwise kernel values (1/delta) * profile(x/delta) / Z."""
         x = np.asarray(x, dtype=float)
         return _bump_profile(x / self.delta) / (self.z * self.delta)
-
-    def _window(self, grid: Grid1D, center: float) -> Tuple[int, np.ndarray]:
-        """First cell and values of the kernel around ``center`` on the cells within
-        delta of it, sampled at their centers and rescaled to unit discrete mass."""
-        first = min(max(math.floor((center - self.delta - grid.lo) / grid.h), 0), grid.n)
-        stop = min(max(math.ceil((center + self.delta - grid.lo) / grid.h) + 1, first), grid.n)
-        # the expression of Grid1D.centers, so that the samples match full-grid ones
-        vals = self(grid.lo + (np.arange(first, stop) + 0.5) * grid.h - center)
-        vals /= vals.sum() * grid.h
-        return first, vals
 
 
 @dataclass(frozen=True)
@@ -122,12 +109,15 @@ class ExtendedDomain:
         h = original.h
         k = margin / h - 1e-12
         k = math.ceil(k) if k < math.inf else k  # a tiny h can overflow the ratio
-        if original.n + 2 * k > _EXTENDED_CELLS:
+        cells = original.n + 2 * k
+        if cells > _EXTENDED_CELLS:
+            # exact below 2**53; a float beyond, since a tiny h gives hundreds of digits
+            shown = cells if cells < 1 << 53 else original.n + 2.0 * k
             raise ParameterError(
                 f"extending {original.n} cells by {margin!r} on each side asks for "
-                f"{original.n + 2 * k} cells, above the budget of {_EXTENDED_CELLS}"
+                f"{shown} cells, above the budget of {_EXTENDED_CELLS}"
             )
-        extended = Grid1D(original.lo - k * h, original.hi + k * h, original.n + 2 * k)
+        extended = Grid1D(original.lo - k * h, original.hi + k * h, cells)
         return cls(original, extended, k)
 
     @property
@@ -162,7 +152,9 @@ def smooth_marginal(
 ) -> GridMeasure:
     """Convolve a measure with the width-delta bump on the extended grid.
 
-    Atoms contribute ``mass * kernel(center - location)``; grid densities
+    Both kinds sample the bump at cell centers and scale the samples to
+    unit discrete mass. Each atom contributes ``mass`` times the bump at
+    ``center - location``, on the cells within delta of it; grid densities
     are zero-extended and convolved discretely. Total mass is preserved to
     rounding accuracy. Atoms must lie in the original domain, the extension
     margin must cover delta and the grid must resolve the kernel
@@ -170,43 +162,34 @@ def smooth_marginal(
     """
     _check_delta(delta, ext)
     grid = ext.extended
-    kernel = Mollifier(delta, grid.h)
+    h = grid.h
     out = np.zeros(grid.n)
     if isinstance(m, AtomicMeasure):
         _check_atoms(m, ext)
         for loc, mass in m.atoms:
-            first, vals = kernel._window(grid, loc)
+            first = min(max(math.floor((loc - delta - grid.lo) / h), 0), grid.n)
+            stop = min(max(math.ceil((loc + delta - grid.lo) / h) + 1, first), grid.n)
+            # the expression of Grid1D.centers, so that the samples match full-grid ones
+            vals = _unit_bump(grid.lo + (np.arange(first, stop) + 0.5) * h - loc, delta, h)
             vals *= mass
             out[first : first + vals.size] += vals
     elif isinstance(m, GridMeasure):
-        if abs(m.grid.h - grid.h) > 1e-12 * grid.h:
+        if abs(m.grid.h - h) > 1e-12 * h:
             raise ParameterError("grid measure and extended grid have different cell widths")
-        half = int(math.floor(delta / grid.h + 1e-12))
-        offsets = np.arange(-half, half + 1) * grid.h
-        w = kernel(offsets)
-        w = w / (w.sum() * grid.h)
+        half = int(math.floor(delta / h + 1e-12))
+        w = _unit_bump(np.arange(-half, half + 1) * h, delta, h)
         padded = np.zeros(grid.n)
-        lo_idx = int(round((m.grid.lo - grid.lo) / grid.h))
+        lo_idx = int(round((m.grid.lo - grid.lo) / h))
         if lo_idx < 0 or lo_idx + m.grid.n > grid.n:
             raise ParameterError(
                 f"grid measure on [{m.grid.lo!r}, {m.grid.hi!r}] does not lie within the "
                 f"extended grid [{grid.lo!r}, {grid.hi!r}]"
             )
         padded[lo_idx : lo_idx + m.grid.n] = m.density
-        out = np.convolve(padded, w, mode="same") * grid.h
+        out = np.convolve(padded, w, mode="same") * h
     else:
         raise TypeError(f"cannot smooth a {type(m).__name__}")
     return GridMeasure(grid, out)
-
-
-def _resolve_cost(cost: str) -> Callable:
-    """The rule of a cost name in :data:`CONVEX_RULES`, which monotone coupling needs."""
-    if not isinstance(cost, str) or cost not in CONVEX_RULES:
-        raise ParameterError(
-            f"monotone coupling needs a cost rule convex in the difference, one of "
-            f"{CONVEX_RULES}; got {cost!r}"
-        )
-    return COST_RULES[cost]
 
 
 def unregularized_ot_1d(
@@ -214,11 +197,12 @@ def unregularized_ot_1d(
 ) -> float:
     """Exact unregularized transport cost between atomic measures on the line.
 
-    Valid for costs of the form c(x, y) = f(x - y) with f convex, for
-    which the monotone coupling of the sorted atoms is optimal. The
-    coupling is built by the north-west-corner rule on sorted atoms.
+    Valid for costs of the form c(x, y) = f(x - y) with f convex, as every
+    rule of :data:`solver.COST_RULES` is, for which the monotone coupling of
+    the sorted atoms is optimal. The coupling is built by the
+    north-west-corner rule on sorted atoms.
     """
-    fn = _resolve_cost(cost)
+    fn = solver._rule(cost)
     xs = sorted(mu.atoms)
     ys = sorted(nu.atoms)
     i = j = 0
@@ -279,7 +263,10 @@ def power_schedule(
     """Schedule delta = coeff * gamma**exponent for the listed gamma values."""
     if coeff <= 0:
         raise ParameterError(f"schedule coefficient must be positive, got {coeff}")
-    return [(float(g), coeff * float(g) ** exponent) for g in gammas]
+    try:
+        return [(float(g), coeff * float(g) ** exponent) for g in gammas]
+    except OverflowError:
+        raise ParameterError(f"delta = {coeff!r} * gamma**{exponent!r} overflows") from None
 
 
 def gamma_sweep(
@@ -303,7 +290,7 @@ def gamma_sweep(
     """
     if not schedule:
         raise ParameterError("schedule must list at least one (gamma, delta) pair")
-    _resolve_cost(cost)
+    solver._rule(cost)
     _check_atoms(mu, ext)
     _check_atoms(nu, ext)
     for g, d in schedule:

@@ -9,6 +9,7 @@ piecewise-constant data, which keeps the norm and entropy tests exact.
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple, Union
@@ -34,6 +35,12 @@ __all__ = [
 
 #: relative tolerance used when a measure claims to be a probability measure
 MASS_TOL = 1e-10
+
+
+def _off_unit_mass(mass: float) -> bool:
+    """Whether ``mass`` is not finite or misses 1 by more than :data:`MASS_TOL` times max(1, |mass|)."""
+    # an infinite mass passes the relative test, since inf > inf is false
+    return not math.isfinite(mass) or abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass))
 
 
 def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
@@ -96,23 +103,14 @@ def _check_grid_match(grid: Grid1D, values: np.ndarray, what: str) -> None:
 class GridMeasure:
     """Nonnegative density sampled at the cell centers of a :class:`Grid1D`.
 
-    Total mass is ``sum(density) * h``. With ``probability=True`` the
-    constructor additionally checks that the mass is 1 within
-    :data:`MASS_TOL`; use ``renormalize=True`` to rescale near-probability
-    input instead of rejecting it.
+    Total mass is ``sum(density) * h``. ``renormalize=True`` rescales the
+    density to mass 1 and checks the result within :data:`MASS_TOL`.
     """
 
     grid: Grid1D
     density: np.ndarray
-    probability: bool = False
 
-    def __init__(
-        self,
-        grid: Grid1D,
-        density,
-        probability: bool = False,
-        renormalize: bool = False,
-    ) -> None:
+    def __init__(self, grid: Grid1D, density, renormalize: bool = False) -> None:
         dens = _frozen_array(density)
         _check_grid_match(grid, dens, "density")
         if np.any(dens < 0):
@@ -122,16 +120,14 @@ class GridMeasure:
             if mass <= 0:
                 raise ValueError("cannot renormalize a measure with zero mass")
             dens = _frozen_array(dens / mass)
-            probability = True
-        if probability:
+            # a subnormal mass can overflow the division
             mass = float(dens.sum() * grid.h)
-            if abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass)):
+            if _off_unit_mass(mass):
                 raise ValueError(
                     f"probability measure has mass {mass!r}, off by more than {MASS_TOL}"
                 )
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", dens)
-        object.__setattr__(self, "probability", probability)
 
     @property
     def mass(self) -> float:
@@ -226,7 +222,7 @@ class AtomicMeasure:
             if not (lo <= x <= hi):
                 raise ValueError(f"atom location {x} outside the domain [{lo}, {hi}]")
         total = sum(m for _, m in pairs)
-        if abs(total - 1.0) > MASS_TOL * max(1.0, abs(total)):
+        if _off_unit_mass(total):
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", pairs)
         object.__setattr__(self, "lo", float(lo))

@@ -45,11 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .measures import MASS_TOL, Grid1D, GridMeasure, ProductDensity, ProductFunction
+from .measures import Grid1D, GridMeasure, ProductDensity, ProductFunction, _off_unit_mass
 
 __all__ = [
     "CostField",
@@ -162,8 +162,17 @@ def _absdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y)
 
 
-#: closed-form cost rules; each maps broadcastable x, y arrays to costs
+#: closed-form cost rules; each maps broadcastable x, y arrays to costs. Each
+#: is a convex function of x - y that is 0 at 0: the FFT gate's range bound
+#: and the monotone reference of gamma_limit.unregularized_ot_1d rely on it
 COST_RULES: dict = {"sqdist": _sqdist, "abs": _absdist}
+
+
+def _rule(name: str) -> Callable:
+    """The rule of :data:`COST_RULES` named ``name``; a ParameterError for anything else."""
+    if not isinstance(name, str) or name not in COST_RULES:
+        raise ParameterError(f"unknown cost rule {name!r}, expected one of {sorted(COST_RULES)}")
+    return COST_RULES[name]
 
 
 class CostField(ProductFunction):
@@ -180,16 +189,9 @@ class CostField(ProductFunction):
             raise ParameterError("cost values must be nonnegative")
 
 
-def _rule_values(rule: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The named cost rule at every pair of ``x`` (rows) and ``y`` (columns)."""
-    if not isinstance(rule, str) or rule not in COST_RULES:
-        raise ParameterError(f"unknown cost rule {rule!r}, expected one of {sorted(COST_RULES)}")
-    return COST_RULES[rule](x[:, None], y[None, :])
-
-
 def cost_field(grid1: Grid1D, grid2: Grid1D, rule: str) -> CostField:
     """Tabulate a named closed-form cost rule on the product grid."""
-    return CostField(grid1, grid2, _rule_values(rule, grid1.centers, grid2.centers))
+    return CostField(grid1, grid2, _rule(rule)(grid1.centers[:, None], grid2.centers[None, :]))
 
 
 # GibbsKernel, gibbs_kernel, dual_value and optimality_residual are full-grid
@@ -346,8 +348,9 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _check_probability(m: GridMeasure, name: str) -> None:
-    mass = m.mass
-    if abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass)):
+    with np.errstate(over="ignore"):  # an infinite mass is refused below
+        mass = m.mass
+    if _off_unit_mass(mass):
         raise ParameterError(f"{name} must be a probability measure, has mass {mass!r}")
 
 
@@ -541,7 +544,7 @@ def _fft_refusal(c, h1, h2, x, y, gamma) -> str:
         return "the cost is a table"
     if h1 != h2:
         return f"the grids' spacings {h1!r} and {h2!r} differ"
-    # x - y spans [lo, hi] on the hull block; both rules are convex in x - y and 0 at 0
+    # x - y spans [lo, hi] on the hull block; every rule is convex in x - y and 0 at 0
     fn = COST_RULES[c]
     lo, hi = x[0] - y[-1], x[-1] - y[0]
     spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
@@ -563,7 +566,8 @@ def _cost_block(c, grids, masks) -> np.ndarray:
     smask, tmask = masks
     if isinstance(c, CostField):
         return c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
-    return _rule_values(c, *(_centers(g, np.flatnonzero(m)) for g, m in zip(grids, masks)))
+    x, y = (_centers(g, np.flatnonzero(m)) for g, m in zip(grids, masks))
+    return _rule(c)(x[:, None], y[None, :])
 
 
 def _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
@@ -639,8 +643,8 @@ def _solve(
     if isinstance(c, CostField):
         if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
             raise ParameterError("marginals and cost table live on different grids")
-    elif not isinstance(c, str) or c not in COST_RULES:
-        raise ParameterError(f"unknown cost rule {c!r}, expected one of {sorted(COST_RULES)}")
+    else:
+        _rule(c)
     mu_s = mu.density[smask]
     nu_t = nu.density[tmask]
     h1, h2 = mu.grid.h, nu.grid.h

@@ -575,3 +575,36 @@ def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypa
     assert run([command, *args, f"{flag}=", "--quiet"]) == 3
     assert flag in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "schedule, reason",
+    [
+        ("coupled:gammas=-0.1", "gamma and delta must be positive and finite"),
+        ("pairs:0:0.1", "gamma and delta must be positive and finite"),
+        ("pairs:0.1:-0.1", "gamma and delta must be positive and finite"),
+        ("power:coeff=1e300:exp=2:gammas=1e300", "delta = 1e+300 * gamma**2.0 overflows"),
+    ],
+)
+def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, capsys, schedule, reason):
+    out = tmp_path / "gl.csv"
+    argv = ["gamma-limit", "--mu", "atoms:0:1", "--nu", "atoms:1:1", "--n", "0",
+            "--schedule", schedule, "--out", str(out), "--quiet"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "--n: " in err and f"--schedule: {reason}" in err
+    assert not out.exists()
+
+
+def test_a_mass_that_overflows_is_an_invalid_parameter(tmp_path, marginal_files, capsys):
+    mu, _ = marginal_files
+    big = tmp_path / "big.csv"
+    write_measure_csv(big, GridMeasure(Grid1D(0.0, 1.0, 2), [1e308, 1e308]))
+    out = tmp_path / "out"
+    assert run(["solve", "--mu", str(big), "--nu", mu, "--gamma", "0.1", "--out", str(out)]) == 3
+    assert "mu must be a probability measure, has mass inf" in capsys.readouterr().err
+    argv = ["gamma-limit", "--mu", "atoms:0:1e308,1:1e308", "--nu", "atoms:1:1",
+            "--schedule", "pairs:0.1:0.1", "--out", str(out)]
+    assert run(argv) == 3
+    assert "atom masses sum to inf" in capsys.readouterr().err
+    assert not out.exists()

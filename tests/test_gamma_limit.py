@@ -59,6 +59,12 @@ def test_mollifier_rejects_bad_delta():
 # ---------------------------------------------------------- extended domain
 
 
+def test_extend_prints_a_huge_cell_count_short():
+    with pytest.raises(ParameterError, match=r"asks for 5\.12e\+301 cells, above the budget") as err:
+        ExtendedDomain.extend(Grid1D(0.0, 1e-300, 256), 0.1)
+    assert len(str(err.value)) < 120
+
+
 def test_extend_keeps_spacing_and_contains_original():
     base = Grid1D(0.0, 1.0, 128)
     ext = ExtendedDomain.extend(base, 0.3)
@@ -124,7 +130,7 @@ def test_smoothed_atoms_match_full_grid_kernel():
     ext = extended()
     grid = ext.extended
     delta = 0.05
-    kernel = Mollifier(delta, grid.h)
+    kernel = Mollifier(delta)
     # the two atoms' windows overlap
     for atoms in ([(0.5, 1.0)], [(0.25, 0.3), (0.31, 0.7)]):
         sm = smooth_marginal(AtomicMeasure(atoms), delta, ext)
@@ -371,3 +377,16 @@ def test_sweep_requires_named_cost():
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 256), 0.2)
     with pytest.raises(ParameterError):
         gamma_sweep(mu, nu, lambda x, y: (x - y) ** 2, [(0.2, 0.2)], ext)
+
+
+@pytest.mark.parametrize("cost", ["euclid", "table"])
+def test_a_cost_that_is_not_a_rule_name_is_an_unknown_cost_rule(cost):
+    mu = AtomicMeasure([(0.2, 1.0)])
+    nu = AtomicMeasure([(0.8, 1.0)])
+    ext = extended(n=64)
+    if cost == "table":
+        cost = cost_field(ext.extended, ext.extended, "sqdist")
+    with pytest.raises(ParameterError, match="unknown cost rule"):
+        unregularized_ot_1d(mu, nu, cost)
+    with pytest.raises(ParameterError, match="unknown cost rule"):
+        gamma_sweep(mu, nu, cost, [(0.2, 0.1)], ext)

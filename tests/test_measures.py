@@ -59,10 +59,18 @@ def test_measure_rejects_negative_density():
 
 
 def test_measure_probability_tolerance():
-    g = Grid1D(0.0, 1.0, 4)
-    GridMeasure(g, np.ones(4) * (1.0 + 5e-11), probability=True)
+    AtomicMeasure([(0.25, 0.5), (0.75, 0.5 + 5e-11)])
     with pytest.raises(ValueError):
-        GridMeasure(g, np.ones(4) * 1.01, probability=True)
+        AtomicMeasure([(0.25, 0.5), (0.75, 0.51)])
+
+
+def test_an_infinite_mass_is_not_a_probability_measure():
+    # each mass is finite, but their sum overflows
+    with pytest.raises(ValueError, match="sum to inf"):
+        AtomicMeasure([(0.25, 1e308), (0.75, 1e308)])
+    # a subnormal mass overflows renormalize's division
+    with pytest.raises(ValueError, match="has mass inf"), np.errstate(over="ignore"):
+        GridMeasure(Grid1D(0.0, 4e-320, 4), np.array([1e10, 1.0, 1.0, 1.0]), renormalize=True)
 
 
 def test_renormalize_gives_unit_mass():

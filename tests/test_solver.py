@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from entot.measures import Grid1D, GridMeasure, marginals
 from entot.solver import (
+    COST_RULES,
     ConvergenceError,
     CostField,
     DirectOverflowError,
@@ -167,6 +168,17 @@ def test_rule_name_solve_matches_cost_field_solve():
             assert np.array_equal(by_name.state.log_a, by_table.state.log_a)
     with pytest.raises(ParameterError, match="unknown cost rule"):
         solve_logdomain(mu, nu, "cubic", 0.3)
+
+
+@pytest.mark.parametrize("name", sorted(COST_RULES))
+def test_every_cost_rule_is_convex_in_the_difference_and_zero_at_zero(name):
+    # the FFT gate's range bound and the monotone reference of gamma_limit rely on this
+    fn = COST_RULES[name]
+    assert fn(0.0, 0.0) == 0.0
+    x = np.linspace(-1.0, 2.0, 31)
+    assert_allclose(fn(x[:, None], x[None, :]), fn(x[:, None] - x[None, :], 0.0), rtol=1e-12, atol=1e-12)
+    f = fn(np.linspace(-3.0, 3.0, 601), 0.0)
+    assert np.all(f[:-2] - 2.0 * f[1:-1] + f[2:] >= -1e-12)
 
 
 def test_gauge_rescaling_leaves_plan_and_dual_alone():
