@@ -19,14 +19,15 @@ numbers. A string given for a numeric option is read as the flag's text,
 and null is accepted only for an option that is unset by default, such as
 solve's --plan. Any other value is an invalid parameter. So are a
 non-finite --gamma, --gammas value or --tol, an empty output path (--out,
-and solve's --plan), and a cost file or stored plan whose grids are not
-those of --mu and --nu. --threads is checked and ignored: the sweeps solve
-their points in order, a point that does not converge or overflows is a
-failed row (exit 5), and an invalid parameter at any point exits 3 and
-writes nothing. Outputs are written atomically (all files appear, or
-none). Exit codes: 0 success, 2 usage, 3 invalid parameter or an input
-that exists but cannot be read, 4 missing input file, 5 computation failed
-or did not converge, 6 output write failure.
+and solve's --plan), a cost file or stored plan whose grids are not
+those of --mu and --nu, and a density whose neg-entropy overflows.
+--threads is checked and ignored: the sweeps solve their points in order,
+a point that does not converge or overflows is a failed row (exit 5), and
+an invalid parameter at any point exits 3 and writes nothing. Outputs are
+written atomically (all files appear, or none). Exit codes: 0 success, 2
+usage, 3 invalid parameter or an input that exists but cannot be read, 4
+missing input file, 5 computation failed or did not converge, 6 output
+write failure.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
 check), and each subcommand once, in ``_COMMANDS`` (help, handler and the
@@ -692,7 +693,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except solver.ParameterError as exc:
+    except (solver.ParameterError, OverflowError) as exc:  # such as f log f of a huge density
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except solver.SolverError as exc:

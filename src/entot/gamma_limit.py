@@ -1,12 +1,12 @@
 """Mollified marginals and coupled (gamma, delta) sweeps toward the unregularized limit.
 
 Singular marginals (sums of point masses) are smoothed by convolution with
-a compactly supported bump kernel of width delta on a slightly extended
-grid, the entropic problem is solved for each scheduled (gamma, delta)
-pair, and the transport cost of the converged plan is compared against an
-exact unregularized reference: the monotone (sorted north-west corner)
-coupling of the atoms, optimal in one dimension for costs that are convex
-in the difference.
+a compactly supported bump kernel of width delta onto the window of a
+slightly extended grid that spans their atoms, the entropic problem is
+solved for each scheduled (gamma, delta) pair, and the transport cost of
+the converged plan is compared against an exact unregularized reference:
+the monotone (sorted north-west corner) coupling of the atoms, optimal in
+one dimension for costs that are convex in the difference.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ __all__ = [
 #: required resolution: the kernel width must span at least this many cells
 MIN_CELLS_PER_DELTA = 4
 
-#: cells an extended grid may have: 32 MiB per array, 6.5 times the 640 000
-#: cells of the finest benchmark case
+#: cells an extended grid may have, 6.5 times the 640 000 cells of the finest
+#: benchmark case. It bounds the arrays of a smoothed marginal at 32 MiB: those
+#: of a grid measure span the extended grid, and an atomic marginal's window
+#: does when its atoms lie at both ends of the domain
 _EXTENDED_CELLS = 1 << 22
 
 #: Z, the integral of exp(-1/(1-s^2)) over (-1, 1); a midpoint sum on
@@ -49,7 +51,6 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     """The standard bump exp(-1/(1-s^2)) on (-1, 1), zero outside."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
-    # boolean temporaries only, which keeps smoothing's peak memory down on fine grids
     inside = (s > -1.0) & (s < 1.0)
     si = s[inside]
     out[inside] = np.exp(-1.0 / (1.0 - si * si))
@@ -154,26 +155,34 @@ def smooth_marginal(
 
     Both kinds sample the bump at cell centers and scale the samples to
     unit discrete mass. Each atom contributes ``mass`` times the bump at
-    ``center - location``, on the cells within delta of it; grid densities
-    are zero-extended and convolved discretely. Total mass is preserved to
-    rounding accuracy. Atoms must lie in the original domain, the extension
-    margin must cover delta and the grid must resolve the kernel
-    (h <= delta / 4).
+    ``center - location``, on the cells within delta of it; the result
+    lives on the window of the extended grid from the lowest atom's first
+    such cell to the highest atom's last, a grid with the extended grid's
+    ``h`` (:meth:`Grid1D.window`), and no array of the extended grid's size
+    is built. Grid densities are zero-extended onto the whole extended grid
+    and convolved discretely. Total mass is preserved to rounding accuracy.
+    Atoms must lie in the original domain, the extension margin must cover
+    delta and the grid must resolve the kernel (h <= delta / 4).
     """
     _check_delta(delta, ext)
     grid = ext.extended
     h = grid.h
-    out = np.zeros(grid.n)
     if isinstance(m, AtomicMeasure):
         _check_atoms(m, ext)
-        for loc, mass in m.atoms:
+        spans = []  # each atom's cells within delta, first to stop - 1
+        for loc, _ in m.atoms:
             first = min(max(math.floor((loc - delta - grid.lo) / h), 0), grid.n)
             stop = min(max(math.ceil((loc + delta - grid.lo) / h) + 1, first), grid.n)
+            spans.append((first, stop))
+        w0 = min(first for first, _ in spans)
+        out = np.zeros(max(stop for _, stop in spans) - w0)
+        for (loc, mass), (first, stop) in zip(m.atoms, spans):
             # the expression of Grid1D.centers, so that the samples match full-grid ones
             vals = _unit_bump(grid.lo + (np.arange(first, stop) + 0.5) * h - loc, delta, h)
             vals *= mass
-            out[first : first + vals.size] += vals
-    elif isinstance(m, GridMeasure):
+            out[first - w0 : stop - w0] += vals
+        return GridMeasure(grid.window(w0, w0 + out.size), out)
+    if isinstance(m, GridMeasure):
         if abs(m.grid.h - h) > 1e-12 * h:
             raise ParameterError("grid measure and extended grid have different cell widths")
         half = int(math.floor(delta / h + 1e-12))
@@ -186,10 +195,8 @@ def smooth_marginal(
                 f"extended grid [{grid.lo!r}, {grid.hi!r}]"
             )
         padded[lo_idx : lo_idx + m.grid.n] = m.density
-        out = np.convolve(padded, w, mode="same") * h
-    else:
-        raise TypeError(f"cannot smooth a {type(m).__name__}")
-    return GridMeasure(grid, out)
+        return GridMeasure(grid, np.convolve(padded, w, mode="same") * h)
+    raise TypeError(f"cannot smooth a {type(m).__name__}")
 
 
 def unregularized_ot_1d(
@@ -315,5 +322,4 @@ def gamma_sweep(
             points.append(SweepPoint(
                 gamma, delta, value, reference, ent, primal, primal - value, report.iterations, status
             ))
-        del mu_d, nu_d  # else fine grids hold two points' marginals while smoothing
     return points

@@ -55,13 +55,16 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
 class Grid1D:
     """Uniform grid of ``n`` cells on the interval ``[lo, hi]``.
 
-    Cell ``i`` has center ``lo + (i + 1/2) * h`` with ``h = (hi - lo) / n``.
+    Cell ``i`` has center ``lo + (i + 1/2) * h`` with ``h = (hi - lo) / n``,
+    except on a :meth:`window`, which keeps the ``h`` of its grid.
     Integrals against functions sampled at the centers are midpoint sums.
     """
 
     lo: float
     hi: float
     n: int
+    #: cell width, also the quadrature weight
+    h: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lo) or not np.isfinite(self.hi):
@@ -71,11 +74,22 @@ class Grid1D:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"cell count must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "h", (self.hi - self.lo) / self.n)
 
-    @property
-    def h(self) -> float:
-        """Cell width, also the quadrature weight."""
-        return (self.hi - self.lo) / self.n
+    def window(self, first: int, stop: int) -> "Grid1D":
+        """Cells ``first`` to ``stop - 1`` as a grid of their own, with this grid's ``h`` bit for bit.
+
+        Its centers are within a few ulps of this grid's centers of the same cells.
+        """
+        if not 0 <= first < stop <= self.n:
+            raise ValueError(f"window [{first}, {stop}) is not within the grid's {self.n} cells")
+        # its cells are this grid's, so it needs no checks; cells narrower
+        # than the float spacing at lo would fail hi > lo
+        sub = object.__new__(Grid1D)
+        lo, hi = self.lo + first * self.h, self.lo + stop * self.h
+        for name, value in (("lo", lo), ("hi", hi), ("n", stop - first), ("h", self.h)):
+            object.__setattr__(sub, name, value)
+        return sub
 
     @property
     def length(self) -> float:

@@ -151,13 +151,18 @@ def neg_entropy(m: Union[GridMeasure, ProductDensity]) -> float:
     """Integral of f log f with the 0 log 0 = 0 convention.
 
     Always at least -L/e where L is the measure of the domain, since
-    t log t >= -1/e pointwise.
+    t log t >= -1/e pointwise. An integral beyond the float range, such as
+    that of a density of 1e308 values, raises OverflowError.
     """
     vals, w = _values_and_weight(m)
     if np.any(vals < 0):
         raise ValueError("neg-entropy is defined for nonnegative densities")
     pos = vals > 0.0
-    return float(np.sum(vals[pos] * np.log(vals[pos])) * w)
+    with np.errstate(over="ignore"):
+        value = float(np.sum(vals[pos] * np.log(vals[pos])) * w)
+    if not math.isfinite(value):
+        raise OverflowError(f"the neg-entropy integral of f log f overflows to {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,17 @@ def bump_mass_oracle(n=2_000_001):
     return float(vals.sum() * h)
 
 
+def pad_window(m, grid):
+    """The density of ``m``, a measure on a window of ``grid`` with the same h, zero-padded onto ``grid``.
+
+    The window's first cell is the one whose left edge is nearest to the window's lo.
+    """
+    first = int(round((m.grid.lo - grid.lo) / grid.h))
+    out = np.zeros(grid.n)
+    out[first:first + m.density.size] = m.density
+    return out
+
+
 def newton_lambert_w1(tol=1e-15):
     """Solve w * exp(w) = 1 by Newton iteration from w = 0.5."""
     w = 0.5

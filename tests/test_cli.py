@@ -596,6 +596,18 @@ def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, caps
     assert not out.exists()
 
 
+def test_an_entropy_that_overflows_is_an_invalid_parameter(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    write_measure_csv(big, GridMeasure(Grid1D(0.0, 1.0, 2), [1e308, 1e308]))
+    out = tmp_path / "entropy.json"
+    # pytest turns numpy's RuntimeWarning into an error, so none leaks
+    assert run(["entropy", "--input", str(big), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: the neg-entropy integral of f log f overflows to inf\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_a_mass_that_overflows_is_an_invalid_parameter(tmp_path, marginal_files, capsys):
     mu, _ = marginal_files
     big = tmp_path / "big.csv"

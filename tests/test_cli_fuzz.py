@@ -261,7 +261,7 @@ def test_gamma_limit_over_a_budget_exits_3_and_writes_nothing(tmp_path, capsys):
     assert cli.main(argv) == 3
     assert "exceeds the dense kernel's budget" in capsys.readouterr().err
     assert not out.exists()
-    # 10^12 cells are refused before the extended grid or the mollifier allocates
+    # 10^12 cells are refused by the extended grid's budget, before any point is smoothed
     assert cli.main([*atoms, "--n", "1000000000000", "--schedule", "pairs:0.1:0.1"]) == 3
     assert "asks for 1200000000000 cells, above the budget" in capsys.readouterr().err
     assert not out.exists()

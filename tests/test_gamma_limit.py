@@ -108,11 +108,12 @@ def test_smooth_atom_mass_and_location():
     sm = smooth_marginal(atom, 0.1, ext)
     assert sm.mass == pytest.approx(1.0, abs=1e-6)
     grid = ext.extended
-    peak = grid.centers[np.argmax(sm.density)]
+    density = oracles.pad_window(sm, grid)
+    peak = grid.centers[np.argmax(density)]
     assert abs(peak - 0.5) <= grid.h
     # compact support: nothing beyond delta from the atom
     far = np.abs(grid.centers - 0.5) > 0.1 + grid.h
-    assert np.all(sm.density[far] == 0.0)
+    assert np.all(density[far] == 0.0)
 
 
 def test_smooth_two_atoms_partial_masses():
@@ -121,7 +122,7 @@ def test_smooth_two_atoms_partial_masses():
     sm = smooth_marginal(atoms, 0.05, ext)
     grid = ext.extended
     left = grid.centers < 0.5
-    left_mass = float(sm.density[left].sum() * grid.h)
+    left_mass = float(oracles.pad_window(sm, grid)[left].sum() * grid.h)
     assert left_mass == pytest.approx(0.3, abs=1e-9)
     assert sm.mass == pytest.approx(1.0, abs=1e-9)
 
@@ -138,7 +139,79 @@ def test_smoothed_atoms_match_full_grid_kernel():
         for loc, mass in atoms:
             vals = kernel(grid.centers - loc)
             expected += mass * vals / (vals.sum() * grid.h)
-        assert np.max(np.abs(sm.density - expected)) <= 1e-15 * np.max(expected)
+        assert np.max(np.abs(oracles.pad_window(sm, grid) - expected)) <= 1e-15 * np.max(expected)
+
+
+def fine_domain(delta=4e-4):
+    """The extended grid of the benchmark's finest gamma-limit case: 640 000 cells on [0, 1]."""
+    return ExtendedDomain.extend(Grid1D(0.0, 1.0, 640_000), delta)
+
+
+def test_an_atomic_marginal_lives_on_a_window_with_the_extended_grids_h():
+    ext = fine_domain()
+    grid = ext.extended
+    for atoms in ([(0.0, 1.0)], [(1.0, 1.0)], [(0.25, 0.3), (0.2501, 0.7)]):
+        for delta in (6.25e-6, 4e-4):
+            window = smooth_marginal(AtomicMeasure(atoms), delta, ext).grid
+            assert window.h == grid.h
+            spread = max(loc for loc, _ in atoms) - min(loc for loc, _ in atoms)
+            assert window.n <= (spread + 2 * delta) / grid.h + 3
+    # a grid built from the window's ends would not keep h bit for bit
+    window = smooth_marginal(AtomicMeasure([(1.0, 1.0)]), 4e-4, ext).grid
+    assert Grid1D(window.lo, window.hi, window.n).h != grid.h
+
+
+def test_window_centers_are_the_extended_grids_within_a_few_ulps():
+    for lo, hi in ((0.0, 1.0), (-3.0, 7.0), (1e6, 1e6 + 1.0)):
+        ext = ExtendedDomain.extend(Grid1D(lo, hi, 640_000), 4e-4 * (hi - lo))
+        grid = ext.extended
+        ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
+        for loc in (lo, 0.3 * lo + 0.7 * hi, hi):
+            sm = smooth_marginal(AtomicMeasure([(loc, 1.0)], lo, hi), 4e-4 * (hi - lo), ext)
+            first = int(round((sm.grid.lo - grid.lo) / grid.h))
+            assert np.max(np.abs(sm.grid.centers - grid.centers[first:first + sm.grid.n])) <= 4 * ulp
+
+
+def test_the_window_holds_every_nonzero_cell():
+    ext = extended(n=4096)
+    grid = ext.extended
+    delta = 0.01
+    kernel = Mollifier(delta)
+    for atoms in ([(0.0, 1.0)], [(1.0, 1.0)], [(0.25, 0.3), (0.75, 0.7)], [(0.5, 0.5), (0.5 + 1e-9, 0.5)]):
+        sm = smooth_marginal(AtomicMeasure(atoms), delta, ext)
+        full = sum(mass * kernel(grid.centers - loc) for loc, mass in atoms)
+        assert np.array_equal(oracles.pad_window(sm, grid) > 0, full > 0)
+
+
+def test_smoothing_the_finest_benchmark_marginals_allocates_no_grid_sized_array():
+    ext = fine_domain()
+    mu, nu = AtomicMeasure([(0.0, 1.0)]), AtomicMeasure([(1.0, 1.0)])
+    tracemalloc.start()
+    try:
+        smoothed = [smooth_marginal(m, 4e-4, ext) for m in (mu, nu)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one array of the extended grid's 640 512 cells would take 5 MiB
+    assert peak < 1 << 20
+    assert [m.mass for m in smoothed] == [pytest.approx(1.0, rel=1e-12)] * 2
+
+
+def test_windows_above_the_fft_crossover_solve_on_the_fft_kernel_as_the_full_grid_does():
+    ext = extended(n=4096)
+    grid = ext.extended
+    mu = smooth_marginal(AtomicMeasure([(0.3, 1.0)]), 0.1, ext)
+    nu = smooth_marginal(AtomicMeasure([(0.7, 1.0)]), 0.1, ext)
+    assert mu.grid.n * nu.grid.n > solver._FFT_MIN_CELLS
+    window = solve_logdomain(mu, nu, "sqdist", 0.1).report
+    full = solve_logdomain(
+        GridMeasure(grid, oracles.pad_window(mu, grid)), GridMeasure(grid, oracles.pad_window(nu, grid)),
+        "sqdist", 0.1,
+    ).report
+    assert window.kernel == full.kernel == "fft"
+    assert window.iterations == full.iterations
+    assert window.primal_value == pytest.approx(full.primal_value, rel=1e-12)
+    assert window.transport_cost == pytest.approx(full.transport_cost, rel=1e-12)
 
 
 def test_smooth_grid_measure_preserves_mass():
@@ -282,7 +355,9 @@ def test_sweep_point_matches_solve_on_smoothed_marginals():
     point = gamma_sweep(mu, nu, "sqdist", [(0.1, 0.2)], ext)[0]
     grid = ext.extended
     c = cost_field(grid, grid, "sqdist")
-    res = solve_logdomain(smooth_marginal(mu, 0.2, ext), smooth_marginal(nu, 0.2, ext), c, 0.1)
+    # the sweep solves on the smoothed marginals' windows; this solve, on the whole extended grid
+    mu_d, nu_d = (GridMeasure(grid, oracles.pad_window(smooth_marginal(m, 0.2, ext), grid)) for m in (mu, nu))
+    res = solve_logdomain(mu_d, nu_d, c, 0.1)
     assert point.iterations == res.report.iterations
     assert point.primal_value == pytest.approx(res.report.primal_value, rel=1e-12)
     cost_part = float(np.sum(c.values * res.plan.values) * grid.h * grid.h)

@@ -39,6 +39,20 @@ def test_grid_rejects_bad_arguments():
         Grid1D(2.0, 1.0, 8)
 
 
+def test_a_window_keeps_its_grids_cells_and_h():
+    g = Grid1D(-0.3, 1.7, 10)
+    w = g.window(2, 7)
+    assert (w.n, w.h) == (5, g.h)
+    assert_allclose(w.centers, g.centers[2:7], rtol=0, atol=4 * np.spacing(1.7))
+    assert g.window(0, 10).h == g.h
+    for first, stop in ((-1, 3), (3, 3), (4, 11)):
+        with pytest.raises(ValueError, match=rf"window \[{first}, {stop}\) is not within the grid's 10 cells"):
+            g.window(first, stop)
+    # cells narrower than the float spacing at lo: the window's ends coincide, and it keeps h
+    tiny = Grid1D(1.0, 1.0 + 1e-15, 1000)
+    assert tiny.window(10, 20).h == tiny.h
+
+
 def test_grid_contains():
     g = Grid1D(-1.0, 3.0, 8)
     assert g.contains(0.0) and g.contains(-1.0) and g.contains(3.0)
