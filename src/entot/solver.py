@@ -142,7 +142,7 @@ def sweep_point(
     vanishes gives no report and ``failed: <reason>``; a
     :class:`ParameterError` propagates. An ``ok`` point also returns its
     potential beta on supp nu, for the next point to start from; a failed
-    one returns None.
+    one, or one whose beta leaves the double range, returns None.
     """
     run = solve if mode == "direct" else solve_logdomain
     try:
@@ -151,15 +151,19 @@ def sweep_point(
         if beta0 is not None:
             return sweep_point(mu, nu, c, gamma, tol, max_iter, mode)
         return (exc.report if isinstance(exc, ConvergenceError) else None), f"failed: {exc}", None
-    return result.report, "ok", gamma * result._log_ab[1]
+    with np.errstate(over="ignore"):
+        beta = gamma * result._log_ab[1]
+    return result.report, "ok", beta if np.isfinite(beta).all() else None
 
 
 def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x - y) ** 2
+    with np.errstate(over="ignore"):  # a cost beyond the double range is inf
+        return (x - y) ** 2
 
 
 def _absdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.abs(x - y)
+    with np.errstate(over="ignore"):
+        return np.abs(x - y)
 
 
 #: closed-form cost rules; each maps broadcastable x, y arrays to costs. Each
@@ -266,9 +270,10 @@ class SolveReport:
     folded log a and log b into the stabilized kernel, the fold after the
     first a-pass included, and ``fallbacks`` the passes redone by log-sum-exp;
     both are 0 in direct mode and on the FFT kernel. ``kernel`` is
-    ``"fft"`` or ``"dense"``; for ``"dense"``, ``kernel_reason`` names the
-    gate condition that kept the FFT kernel off, or the pass that abandoned
-    it. ``sandwich_k`` is k = log(cbar/cunder), the spread of the log row
+    ``"fft"`` or ``"dense"``, and ``kernel_reason`` lists, joined by "; ",
+    why each kernel tried before it refused to start or gave up on a pass,
+    in the order they were tried; it is empty when the first one ran.
+    ``sandwich_k`` is k = log(cbar/cunder), the spread of the log row
     denominators c_i = sum_j K_ij b_j h2 of the returned state over supp mu,
     and ``sandwich_violation`` is how far log a leaves [log mu - k, log mu + k]
     there, nonpositive when the paper's two-sided potential bound holds; the
@@ -323,7 +328,8 @@ class SolveResult:
         _check_plan_cells(smask.size, tmask.size)
         log_a, log_b = self._log_ab
         # log pi = (log K + log a) + log b on the supports
-        values = block = _cost_block(self._cost, self._grids, self._masks) / -self._gamma
+        with np.errstate(over="ignore"):  # K is 0 where c / gamma leaves the double range
+            values = block = _cost_block(self._cost, self._grids, self._masks) / -self._gamma
         block += log_a[:, None]
         block += log_b
         np.exp(block, out=block)
@@ -348,8 +354,7 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _check_probability(m: GridMeasure, name: str) -> None:
-    with np.errstate(over="ignore"):  # an infinite mass is refused below
-        mass = m.mass
+    mass = m.mass  # under _solve's error state: an infinite mass is refused below
     if _off_unit_mass(mass):
         raise ParameterError(f"{name} must be a probability measure, has mass {mass!r}")
 
@@ -378,25 +383,36 @@ def _check_plan_cells(n1: int, n2: int) -> None:
         raise ParameterError(f"the {n1} x {n2} plan exceeds the budget of {_DENSE_CELLS} cells")
 
 
+class _Refused(Exception):
+    """A kernel cannot start, or gave up on a pass; the message says why."""
+
+
 class _DenseKernel:
     """The stabilized kernel exp(f (+) g - c/gamma) of a support cost block.
 
-    ``rows`` and ``cols`` return log row and column denominators, such as
-    log(K @ exp(log b) h2), by one matvec with the block; in log mode
-    (``absorbing``) f starts at -max_j log K_ij, ``absorb`` folds log a and
-    log b into f and g and rebuilds the block, and a pass with non-finite
-    denominators is redone by log-sum-exp. Otherwise f = g = 0 and a
-    non-finite denominator raises.
+    It refuses a support block above :data:`_DENSE_CELLS` before it
+    allocates. ``denominators`` returns log row (``side`` "a") or column
+    ("b") denominators, such as log(K @ exp(log b) h2), by one matvec with
+    the block; in log mode (``absorbing``) f starts at -max_j log K_ij,
+    ``absorb`` folds log a and log b into f and g and rebuilds the block,
+    and a pass with non-finite denominators is redone by log-sum-exp.
+    Otherwise f = g = 0 and a non-finite denominator raises.
     """
 
     name = "dense"
 
-    def __init__(self, c_st: np.ndarray, gamma: float, h1: float, h2: float, absorbing: bool):
-        self.c, self.gamma, self.h1, self.h2 = c_st, gamma, h1, h2
-        self.absorbing = absorbing
+    def __init__(self, c, grids, masks, gamma, mode):
+        m, n = (int(np.count_nonzero(mask)) for mask in masks)
+        if m * n > _DENSE_CELLS:
+            raise _Refused(
+                f"the {m} x {n} support block exceeds the dense kernel's budget of {_DENSE_CELLS} cells"
+            )
+        self.c = c_st = _cost_block(c, grids, masks)
+        self.gamma, self.h1, self.h2 = gamma, grids[0].h, grids[1].h
+        self.absorbing = absorbing = mode == "log"
         # log mode starts from f = -max_j log K_ij, so that every kernel row holds a 1
-        self.f = c_st.min(axis=1) / gamma if absorbing else np.zeros(c_st.shape[0])
-        self.g = np.zeros(c_st.shape[1])
+        self.f = c_st.min(axis=1) / gamma if absorbing else np.zeros(m)
+        self.g = np.zeros(n)
         self.K = np.empty(c_st.shape)
         self.absorptions = self.fallbacks = 0
         self._build()
@@ -409,7 +425,7 @@ class _DenseKernel:
         np.add(K, self.g, out=K)
         np.exp(K, out=K)
 
-    def _reduce(self, log_v, it, side):
+    def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
         K, c, f, g, h = (
             (self.K, self.c, self.f, self.g, self.h2) if side == "a"
             else (self.K.T, self.c.T, self.g, self.f, self.h1)
@@ -429,12 +445,6 @@ class _DenseKernel:
             raise DivergedScalingError(it, side)
         raise DirectOverflowError(it)
 
-    def rows(self, log_v: np.ndarray, it: int) -> np.ndarray:
-        return self._reduce(log_v, it, "a")
-
-    def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
-        return self._reduce(log_u, it, "b")
-
     def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
         """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift.
 
@@ -452,13 +462,10 @@ class _DenseKernel:
 
     def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
         """sum_ij a_i c_ij K_ij b_j by one matvec with c o K, formed in the
-        memory of K: the last call on the kernel."""
+        memory of K: the last call on the kernel. An infinite cost, where K
+        is 0, makes it NaN."""
         self.K *= self.c
         return float(np.exp(log_a - self.f) @ (self.K @ np.exp(log_b - self.g)))
-
-
-class _Abandoned(Exception):
-    """The FFT kernel gave up on a pass; the message names the pass and why."""
 
 
 class _ToeplitzKernel:
@@ -468,31 +475,55 @@ class _ToeplitzKernel:
     side, x_p - y_q depends on p - q only, so K is a Toeplitz matrix and a
     pass is a linear convolution of k(d) = exp(-c(d)/gamma) over the
     offsets d = p - q (Solomon et al., "Convolutional Wasserstein
-    Distances", SIGGRAPH 2015). The spectra of k, of its reverse and of
-    c(d) k(d) are taken once. A pass convolves exp(log v - max log v), 0 on
-    the hull cells outside the support, and reads the result on the support
-    cells of the other side. It raises :class:`_Abandoned` when a
-    denominator is not finite and positive, or when the round-off bound
-    eps log2(L) |k|_2 |w|_2 of the convolution of length L with the input w
-    exceeds :data:`_FFT_ROUNDOFF` of the smallest one; measured errors stay
-    below 1/20 of that bound.
+    Distances", SIGGRAPH 2015). It refuses to start unless the hull block
+    is larger than :data:`_FFT_MIN_CELLS`, the cost is a rule, both grids
+    share h and the kernel's dynamic range on the hull block is at least
+    :data:`_FFT_MIN_RANGE`. The spectra of k, of its reverse and of
+    c(d) k(d) are taken once; the mode does not matter. A pass convolves
+    exp(log v - max log v), 0 on the hull cells outside the support, and
+    reads the result on the support cells of the other side. It gives up
+    when a denominator is not finite and positive, or when the round-off
+    bound eps log2(L) |k|_2 |w|_2 of the convolution of length L with the
+    input w exceeds :data:`_FFT_ROUNDOFF` of the smallest one; measured
+    errors stay below 1/20 of that bound.
     """
 
     name = "fft"
     absorptions = fallbacks = 0
 
-    def __init__(self, rule, x, y, into_a, into_b, gamma, h1, h2):
-        """x, y: the hulls' cell centers; into_a, into_b: the support cells' places in them."""
-        P, Q = x.size, y.size
-        fn = COST_RULES[rule]
+    def __init__(self, c, grids, masks, gamma, mode):
+        si, ti = (np.flatnonzero(mask) for mask in masks)
+        P, Q = int(si[-1] - si[0]) + 1, int(ti[-1] - ti[0]) + 1
+        if P * Q <= _FFT_MIN_CELLS:
+            raise _Refused(
+                f"the {P} x {Q} hull block is below the FFT crossover of {_FFT_MIN_CELLS} cells"
+            )
+        if not isinstance(c, str):
+            raise _Refused("the cost is a table")
+        h1, h2 = grids[0].h, grids[1].h
+        if h1 != h2:
+            raise _Refused(f"the grids' spacings {h1!r} and {h2!r} differ")
+        # the hulls' cell centers: x - y spans [lo, hi] on the hull block, and every rule is
+        # convex in x - y and 0 at 0; a cost beyond the double range makes the spread inf or NaN
+        x, y = (_centers(g, np.arange(s[0], s[-1] + 1)) for g, s in zip(grids, (si, ti)))
+        fn = COST_RULES[c]
+        lo, hi = x[0] - y[-1], x[-1] - y[0]
+        spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
+        if not math.exp(-spread / gamma) >= _FFT_MIN_RANGE:
+            raise _Refused(
+                f"the kernel's dynamic range exp(-{spread / gamma:.4g}) on the hull block "
+                f"is below {_FFT_MIN_RANGE:g}"
+            )
         # c at the offsets p - q = -(Q-1) .. P-1: the hull block's first row, then its first column
         c = np.concatenate((fn(x[0], y[:0:-1]), fn(x, y[0])))
         k = np.exp(c / -gamma)
         self._L = L = 1 << (P + Q - 2).bit_length()
         self._eps_k = np.finfo(float).eps * np.log2(L) * np.sqrt(k @ k)
         rfft = np.fft.rfft
-        # in the full convolution, row p of the block is entry p + Q - 1 and
-        # column q of the reversed one entry q + P - 1
+        # the support cells' places in the hulls; in the full convolution,
+        # row p of the block is entry p + Q - 1 and column q of the reversed
+        # one entry q + P - 1
+        into_a, into_b = ti - ti[0], si - si[0]
         read_a, read_b = into_b + (Q - 1), into_a + (P - 1)
         self._a = (rfft(k, L), into_a, read_a, h2)
         self._b = (rfft(k[::-1], L), into_b, read_b, h1)
@@ -505,24 +536,20 @@ class _ToeplitzKernel:
         buf[into] = w
         return np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read], m, w
 
-    def _denominators(self, spectrum, into, read, h, log_v, it, side):
+    def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
+        spectrum, into, read, h = self._a if side == "a" else self._b
         out, m, w = self._convolve(spectrum, into, read, log_v)
         low = np.min(out)
+        where = f"FFT kernel abandoned at the {side}-pass of iteration {it}"
         if not (low > 0 and np.all(np.isfinite(out))):
-            raise _Abandoned(f"{side}-pass of iteration {it}: a denominator is not finite and positive")
+            raise _Refused(f"{where}: a denominator is not finite and positive")
         bound = self._eps_k * np.sqrt(w @ w) / low
         if bound > _FFT_ROUNDOFF:
-            raise _Abandoned(
-                f"{side}-pass of iteration {it}: round-off bound {bound:.1e} of the smallest "
+            raise _Refused(
+                f"{where}: round-off bound {bound:.1e} of the smallest "
                 f"denominator exceeds {_FFT_ROUNDOFF:g}"
             )
         return np.log(out * h) + m
-
-    def rows(self, log_v: np.ndarray, it: int) -> np.ndarray:
-        return self._denominators(*self._a, log_v, it, "a")
-
-    def cols(self, log_u: np.ndarray, it: int) -> np.ndarray:
-        return self._denominators(*self._b, log_u, it, "b")
 
     def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
         """Nothing to absorb: each pass shifts its input by its maximum."""
@@ -531,29 +558,6 @@ class _ToeplitzKernel:
         """sum_ij a_i c_ij K_ij b_j by one convolution with c k."""
         out, m, _ = self._convolve(*self._c, log_b)
         return float(np.exp(log_a + m) @ out)
-
-
-def _fft_refusal(c, h1, h2, x, y, gamma) -> str:
-    """The gate condition that keeps a solve off the FFT kernel, or "" if none does.
-
-    x and y are the cell centers of the support hulls.
-    """
-    if x.size * y.size <= _FFT_MIN_CELLS:
-        return f"the {x.size} x {y.size} hull block is below the FFT crossover of {_FFT_MIN_CELLS} cells"
-    if not isinstance(c, str):
-        return "the cost is a table"
-    if h1 != h2:
-        return f"the grids' spacings {h1!r} and {h2!r} differ"
-    # x - y spans [lo, hi] on the hull block; every rule is convex in x - y and 0 at 0
-    fn = COST_RULES[c]
-    lo, hi = x[0] - y[-1], x[-1] - y[0]
-    spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
-    if math.exp(-spread / gamma) < _FFT_MIN_RANGE:
-        return (
-            f"the kernel's dynamic range exp(-{spread / gamma:.4g}) on the hull block "
-            f"is below {_FFT_MIN_RANGE:g}"
-        )
-    return ""
 
 
 def _centers(grid: Grid1D, cells: np.ndarray) -> np.ndarray:
@@ -579,32 +583,35 @@ def _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
     later pass repeats too, so it stops there. Only a residual equal to the
     one before can mark that, so only then are the vectors compared.
     Returns the residuals, log a, log b, the last passes' log row
-    denominators and the plan's column sums.
+    denominators and the plan's column sums. It runs under the error state
+    of :func:`_solve`.
     """
     log_mu = np.log(mu_s)
     log_nu = np.log(nu_t)
     residuals: list = []
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if it > 1:
-                last_b, last_absorptions = log_b, absorptions
-                log_b = log_nu - col
-                kernel.absorb(log_a, log_b, "b")
-            absorptions = kernel.absorptions
-            row = kernel.rows(log_b, it)
-            log_a = log_mu - row
-            kernel.absorb(log_a, log_b, "a")
-            col = kernel.cols(log_a, it)
-            colmarg = np.exp(log_b + col)
-            residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
-            if residuals[-1] <= tol or (
-                it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
-                and np.array_equal(log_b, last_b)
-            ):
-                break
+    for it in range(1, max_iter + 1):
+        if it > 1:
+            last_b, last_absorptions = log_b, absorptions
+            log_b = log_nu - col
+            kernel.absorb(log_a, log_b, "b")
+        absorptions = kernel.absorptions
+        row = kernel.denominators(log_b, it, "a")
+        log_a = log_mu - row
+        kernel.absorb(log_a, log_b, "a")
+        col = kernel.denominators(log_a, it, "b")
+        colmarg = np.exp(log_b + col)
+        residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
+        if residuals[-1] <= tol or (
+            it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
+            and np.array_equal(log_b, last_b)
+        ):
+            break
     return residuals, log_a, log_b, row, colmarg
 
 
+# arithmetic beyond the double range gives inf or NaN, not a warning; a
+# converged report that holds one is refused at the end
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -617,18 +624,13 @@ def _solve(
 ) -> SolveResult:
     """Check the inputs, scale on supp mu x supp nu, and report from the last passes.
 
-    The loop runs on one of two kernels. The FFT kernel
-    (:class:`_ToeplitzKernel`) runs when the cost is a rule, both grids
-    share h, the kernel's dynamic range on the hull block is at least
-    :data:`_FFT_MIN_RANGE` and that block is larger than
-    :data:`_FFT_MIN_CELLS`. If one of its passes fails its checks, the
-    solve restarts on the dense kernel (:class:`_DenseKernel`), which
-    otherwise runs from the start: ``"log"`` mode absorbs and falls back to
-    log-sum-exp, ``"direct"`` mode raises on a non-finite denominator. The
-    dense kernel refuses support blocks above :data:`_DENSE_CELLS`. The
-    report names the kernel and, for the dense one, why the FFT kernel did
-    not run or was abandoned. The loop starts from log b = 0, or from
-    ``beta0`` / gamma shifted to a maximum of 0; either kernel starts there.
+    The loop runs on the first kernel of (:class:`_ToeplitzKernel`,
+    :class:`_DenseKernel`) that finishes. Each kernel's constructor is its
+    gate: a kernel that cannot start, or gives up on a pass, raises
+    :class:`_Refused`, and the next one starts afresh. ``kernel_reason``
+    lists the refusals in the order the kernels were tried; if every kernel
+    refuses, the solve is a ParameterError. The loop starts from log b = 0,
+    or from ``beta0`` / gamma shifted to a maximum of 0.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -655,28 +657,20 @@ def _solve(
         if beta0.shape != nu_t.shape or not np.all(np.isfinite(beta0)):
             raise ParameterError(f"beta0 must hold {nu_t.size} finite values, one per cell of supp nu")
         # the shift is a gauge choice: it keeps exp(log b) <= 1 in direct mode
-        with np.errstate(over="ignore"):
-            log_b0 = (beta0 - beta0.max()) / gamma
+        log_b0 = (beta0 - beta0.max()) / gamma
 
-    si, ti = np.flatnonzero(smask), np.flatnonzero(tmask)
-    x_hull = _centers(mu.grid, np.arange(si[0], si[-1] + 1))
-    y_hull = _centers(nu.grid, np.arange(ti[0], ti[-1] + 1))
     grids, masks = (mu.grid, nu.grid), (smask, tmask)
-    reason = _fft_refusal(c, h1, h2, x_hull, y_hull, gamma)
-    if not reason:
-        kernel = _ToeplitzKernel(c, x_hull, y_hull, ti - ti[0], si - si[0], gamma, h1, h2)
+    refusals = []
+    for kind in (_ToeplitzKernel, _DenseKernel):
         try:
+            kernel = kind(c, grids, masks, gamma, mode)
             residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b0)
-        except _Abandoned as exc:
-            reason = f"FFT kernel abandoned at the {exc}"
-    if reason:
-        if mu_s.size * nu_t.size > _DENSE_CELLS:
-            raise ParameterError(
-                f"the {mu_s.size} x {nu_t.size} support block exceeds the dense kernel's budget of "
-                f"{_DENSE_CELLS} cells, and the FFT kernel cannot run: {reason}"
-            )
-        kernel = _DenseKernel(_cost_block(c, grids, masks), gamma, h1, h2, mode == "log")
-        residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b0)
+            break
+        except _Refused as exc:
+            refusals.append(str(exc))
+    else:
+        *tried, last = refusals
+        raise ParameterError(f"{last}, and the FFT kernel cannot run: {'; '.join(tried)}")
 
     # pi = a K b: the cost part is one more matvec
     cost = kernel.cost(log_a, log_b) * h1 * h2
@@ -690,8 +684,7 @@ def _solve(
     log_gauge = _logsumexp(log_a + np.log(h1), axis=0)
     log_a = log_a - log_gauge
     log_b = log_b + log_gauge
-    with np.errstate(over="ignore"):
-        gauge_constant = float(np.exp(log_gauge))
+    gauge_constant = float(np.exp(log_gauge))
     # the sandwich bound: the gauged state's log row denominators are row + log_gauge,
     # and log a - log mu = -(row + log_gauge)
     sandwich_k = float(np.max(row) - np.min(row))
@@ -715,13 +708,18 @@ def _solve(
         absorptions=kernel.absorptions,
         fallbacks=kernel.fallbacks,
         kernel=kernel.name,
-        kernel_reason=reason,
+        kernel_reason="; ".join(refusals),
         sandwich_k=sandwich_k,
         sandwich_violation=sandwich_violation,
     )
     if not report.converged:
         # the loop ends early without converging only at a fixed point
         raise ConvergenceError(report, stalled=report.iterations < max_iter)
+    # the second residual is within tol
+    for name, value in (("primal value", primal), ("dual value", dual), ("transport cost", cost),
+                        ("first marginal residual", r1)):
+        if not math.isfinite(value):
+            raise ParameterError(f"the solve's {name} is {value!r}, outside the floating-point range")
     return SolveResult(report, grids, masks, (log_a, log_b), c, float(gamma))
 
 

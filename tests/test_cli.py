@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import time
@@ -620,3 +621,68 @@ def test_a_mass_that_overflows_is_an_invalid_parameter(tmp_path, marginal_files,
     assert run(argv) == 3
     assert "atom masses sum to inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cost, value", [("sqdist", "nan"), ("abs", "inf")])
+def test_gamma_limit_beyond_the_double_range_exits_3_and_writes_nothing(tmp_path, capsys, cost, value):
+    # smoothed densities near 1e301: the plan's entries, and with them the transport cost, overflow
+    out = tmp_path / "gl.csv"
+    argv = ["gamma-limit", "--mu=atoms:2e-301:1", "--nu=atoms:7e-301:1", "--domain=0:1e-300", "--n", "100",
+            "--schedule", "pairs:0.1:1e-301", "--cost", cost, "--out", str(out)]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: the solve's transport cost is {value}, outside the floating-point range\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _assert_finite_where_ok(code, out):
+    """Exit 0, 3 or 5; nothing written on 3, and no NaN or inf in a converged report or an ok row.
+
+    Returns the exit code.
+    """
+    assert code in (0, 3, 5)
+    if code == 3 or not out.exists():  # a solve that fails without a report writes nothing either
+        assert code != 0 and not out.exists()
+    elif out.suffix == ".json":
+        report = json.loads(out.read_text())
+        values = [v for v in report.values() if isinstance(v, float)]
+        values += report["residuals"] + report["optimality_residual"]
+        assert not report["converged"] or np.all(np.isfinite(values)), report
+    else:
+        for row in csv.DictReader(out.read_text().splitlines()):
+            if row["status"] == "ok":
+                assert all(np.isfinite(float(v)) for k, v in row.items() if k != "status"), row
+    return code
+
+
+@pytest.mark.parametrize("k", [-305, -300, -200, -100, -10, 0, 10, 100, 200, 300])
+def test_solve_sweep_and_gamma_limit_at_every_domain_scale(tmp_path, capsys, k):
+    # on [0, 10^k]; pytest makes a RuntimeWarning an error, so none leaks
+    s = 10.0 ** k
+    g = Grid1D(0.0, s, 100)
+    x = g.centers / s
+    mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
+    write_measure_csv(mu, GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True))
+    write_measure_csv(nu, GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True))
+    codes = []
+    for cost in ("sqdist", "abs"):
+        for mode in ("log", "direct"):
+            common = ["--mu", str(mu), "--nu", str(nu), "--cost", cost, "--mode", mode,
+                      "--max-iter", "500", "--quiet"]
+            out = tmp_path / f"solve-{cost}-{mode}.json"
+            code = run(["solve", *common, "--gamma", "0.1", "--out", str(out)])
+            codes.append(_assert_finite_where_ok(code, out))
+            out = tmp_path / f"sweep-{cost}-{mode}.csv"
+            code = run(["sweep-gamma", *common, "--gammas", "1,0.1", "--out", str(out)])
+            codes.append(_assert_finite_where_ok(code, out))
+        out = tmp_path / f"gl-{cost}.csv"
+        argv = ["gamma-limit", f"--mu=atoms:{0.2 * s!r}:1", f"--nu=atoms:{0.7 * s!r}:1", f"--domain=0:{s!r}",
+                "--n", "100", "--schedule", f"pairs:0.1:{0.1 * s!r}", "--cost", cost, "--max-iter", "500",
+                "--quiet", "--out", str(out)]
+        codes.append(_assert_finite_where_ok(run(argv), out))
+    assert k != 0 or set(codes) == {0}
+    # a delta the extension was made for is within its margin at every scale
+    assert "extension margin" not in capsys.readouterr().err

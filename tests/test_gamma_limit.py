@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from entot.measures import AtomicMeasure, Grid1D, GridMeasure
 from entot import gamma_limit, solver
 from entot.orlicz import neg_entropy
-from entot.solver import ParameterError, cost_field, solve_logdomain
+from entot.solver import COST_RULES, ParameterError, cost_field, solve_logdomain
 from entot.gamma_limit import (
     ExtendedDomain,
     Mollifier,
@@ -97,6 +97,18 @@ def test_extend_refuses_a_grid_over_the_budget_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_the_delta_an_extension_was_made_for_passes_its_check_at_every_scale():
+    for k in range(-300, 301):
+        s = 10.0 ** k
+        d = 0.1 * s
+        gamma_limit._check_delta(d, ExtendedDomain.extend(Grid1D(0.0, s, 100), d))
+    # whole cells of 1e98 round this margin down to 1e99, one ulp below delta
+    d = 1.0000000000000001e99
+    ext = ExtendedDomain.extend(Grid1D(0.0, 1e100, 100), d)
+    assert ext.margin < d
+    gamma_limit._check_delta(d, ext)
 
 
 # ---------------------------------------------------------------- smoothing
@@ -297,6 +309,33 @@ def test_unregularized_matches_permutation_oracle():
         got = unregularized_ot_1d(mu, nu, "sqdist")
         ref = oracles.permutation_ot(xs, ys, lambda a, b: (a - b) ** 2)
         assert got == pytest.approx(ref, abs=1e-12)
+
+
+def test_unregularized_matches_permutation_oracle_on_unequal_masses():
+    # an atom of mass j/k is j atoms of mass 1/k at one place, which the oracle can take
+    rng = np.random.default_rng(23)
+
+    def atoms(k):
+        size = int(rng.integers(1, k + 1))
+        cuts = np.sort(rng.choice(np.arange(1, k), size=size - 1, replace=False))
+        counts = np.diff(np.concatenate(([0], cuts, [k])))
+        locs = rng.random(size)
+        return AtomicMeasure([(float(x), j / k) for x, j in zip(locs, counts)]), np.repeat(locs, counts)
+
+    for _ in range(40):
+        k = int(rng.integers(2, 7))
+        (mu, xs), (nu, ys) = atoms(k), atoms(k)
+        for rule in ("sqdist", "abs"):
+            ref = oracles.permutation_ot(xs, ys, lambda a, b: float(COST_RULES[rule](a, b)))
+            assert unregularized_ot_1d(mu, nu, rule) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+def test_an_unregularized_reference_beyond_the_double_range_is_a_parameter_error():
+    mu = AtomicMeasure([(0.0, 1.0)], 0.0, 1e300)
+    nu = AtomicMeasure([(1e300, 1.0)], 0.0, 1e300)
+    assert unregularized_ot_1d(mu, nu, "abs") == 1e300
+    with pytest.raises(ParameterError, match="the unregularized reference is inf"):
+        unregularized_ot_1d(mu, nu, "sqdist")
 
 
 def test_unregularized_refuses_nonconvex_cost():

@@ -21,6 +21,7 @@ from entot.solver import (
     primal_value,
     solve,
     solve_logdomain,
+    sweep_point,
 )
 
 import oracles
@@ -533,3 +534,40 @@ def test_dense_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr("entot.solver._FFT_ROUNDOFF", 0.0)
     with pytest.raises(ParameterError, match="budget .*abandoned at the a-pass"):
         solve(mu, nu, "sqdist", 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200])
+def test_a_solve_whose_values_leave_the_double_range_is_refused(scale):
+    # densities near 1/scale give plan entries near scale**-2: the transport
+    # cost overflows although the loop converges (pytest makes a RuntimeWarning an error)
+    g = Grid1D(0.0, scale, 32)
+    x = g.centers / scale
+    mu = GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True)
+    nu = GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True)
+    for rule in COST_RULES:
+        with pytest.raises(ParameterError, match="the solve's transport cost is nan"):
+            solve_logdomain(mu, nu, rule, 0.1)
+
+
+def test_a_cost_rule_beyond_the_double_range_is_inf_without_a_warning():
+    g = Grid1D(0.0, 1e300, 4)
+    assert np.isinf(COST_RULES["sqdist"](g.centers[:, None], g.centers[None, :])).sum() == 12
+    assert COST_RULES["abs"](np.array([-1e308]), np.array([1e308]))[0] == np.inf
+    with pytest.raises(ParameterError, match="cost values must be finite"):
+        cost_field(g, g, "sqdist")
+    # finite costs whose c / gamma overflows: K is 0 off the diagonal, in the solve and in its plan
+    g = Grid1D(0.0, 4e153, 4)
+    mu = GridMeasure(g, np.array([1.0, 2.0, 2.0, 1.0]), renormalize=True)
+    res = solve_logdomain(mu, mu, "sqdist", 0.001)
+    assert res.report.transport_cost == 0.0
+    assert np.count_nonzero(res.plan.values) == 4
+
+
+def test_an_ok_point_whose_potential_leaves_the_double_range_warm_starts_nothing():
+    # at gamma = 1e308, beta = gamma log b overflows where nu is 1e-3, though the values are finite
+    g = Grid1D(0.0, 1.0, 32)
+    d = np.ones(32)
+    d[5] = 1e-3
+    mu, nu = GridMeasure(g, np.ones(32), renormalize=True), GridMeasure(g, d, renormalize=True)
+    report, status, beta = sweep_point(mu, nu, "sqdist", 1e308, 1e-9, 1000, "log")
+    assert status == "ok" and np.isfinite(report.primal_value) and beta is None
