@@ -30,9 +30,14 @@ missing input file, 5 computation failed or did not converge, 6 output
 write failure.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
-check), and each subcommand once, in ``_COMMANDS`` (help, handler and the
+reader), and each subcommand once, in ``_COMMANDS`` (help, handler and the
 defaults of the options it takes); the parser, the merge of flag, config
-value and default, and the checks are all built from these two tables.
+value and default, and the checks are all built from these two tables. So
+is the reading of each value, once, into what the handler uses: a float
+list for --gammas, (gamma, delta) pairs for --schedule, a (lo, hi) pair for
+--domain and an ``AtomicMeasure`` for gamma-limit's --mu and --nu. The
+solve JSON holds every field of the ``SolveReport``, and JSON outputs
+write a float outside the double range, or NaN, as null.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class CliError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Validated options of one invocation, with per-key provenance."""
+    """Options of one invocation, read into the values the handlers use; provenance per key."""
 
     command: str
     options: Dict[str, object]
@@ -96,9 +101,8 @@ def _parse_atoms(text) -> measures.AtomicMeasure:
         if len(parts) != 2:
             raise ValueError(f"bad atom {chunk!r}, expected loc:mass")
         pairs.append((float(parts[0]), float(parts[1])))
-    lo = min(x for x, _ in pairs)
-    hi = max(x for x, _ in pairs)
-    return measures.AtomicMeasure(pairs, min(lo, 0.0), max(hi, 1.0))
+    # gamma-limit checks the atoms against --domain
+    return measures.AtomicMeasure(pairs)
 
 
 def _parse_domain(text) -> Tuple[float, float]:
@@ -114,18 +118,8 @@ def _parse_domain(text) -> Tuple[float, float]:
 
 
 def _parse_schedule(text) -> List[Tuple[float, float]]:
-    if text is None:
-        raise ValueError("missing value")
-    parts = str(text).split(":")
-    kind = parts[0]
-    fields = {}
-    tail = []
-    for part in parts[1:]:
-        if "=" in part:
-            k, val = part.split("=", 1)
-            fields[k] = val
-        else:
-            tail.append(part)
+    kind, _, body = str(text).partition(":")
+    fields = dict(part.split("=", 1) for part in body.split(":") if "=" in part)
     if kind == "coupled":
         gammas = _parse_floats(fields.get("gammas"))
         schedule = gl.coupled_schedule(gammas, float(fields.get("c", 1.0)))
@@ -135,7 +129,6 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
             gammas, float(fields.get("coeff", 0.01)), float(fields.get("exp", 2.0))
         )
     elif kind == "pairs":
-        body = ":".join(tail) if tail else ""
         schedule = []
         for chunk in body.split(","):
             gd = chunk.split(":")
@@ -152,43 +145,48 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
     return schedule
 
 
-def _existing_file(path: str) -> None:
+def _existing_file(path: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"file not found: {path}")
+    return path
 
 
-def _positive(value) -> None:
+def _positive(value):
     if not 0 < value < math.inf:
         raise ValueError(f"must be positive and finite, got {value}")
+    return value
 
 
-def _output_path(path: str) -> None:
+def _output_path(path: str) -> str:
     if not path:
         raise ValueError("must be a non-empty path")
+    return path
 
 
 _RULE_NAMES = " | ".join(solver.COST_RULES)
 
 
-def _cost_rule(cost: str) -> None:
+def _cost_rule(cost: str) -> str:
     if cost.startswith("file:"):
         _existing_file(cost[5:])
-    else:
-        _convex_cost_rule(cost, f"{_RULE_NAMES} | file:PATH")
+        return cost
+    return _convex_cost_rule(cost, f"{_RULE_NAMES} | file:PATH")
 
 
-def _convex_cost_rule(cost: str, allowed: str = f"{_RULE_NAMES} for gamma-limit") -> None:
+def _convex_cost_rule(cost: str, allowed: str = f"{_RULE_NAMES} for gamma-limit") -> str:
     """Refuse all but a rule name; every rule is convex in x - y, as gamma-limit's reference needs."""
     try:
         solver._rule(cost)
     except solver.ParameterError:
         raise ValueError(f"must be {allowed}, got {cost}") from None
+    return cost
 
 
-def _gamma_list(text) -> None:
+def _gamma_list(text) -> List[float]:
     gammas = _parse_floats(text)
     if not gammas or not all(0 < g < math.inf for g in gammas):
         raise ValueError(f"must list positive finite values, got {text}")
+    return gammas
 
 
 #: marks an option a subcommand requires, which therefore has no default;
@@ -198,14 +196,14 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Option:
-    """One option: the help of its flag, the type that reads its text, its choices, its check."""
+    """One option: the help of its flag, the type that reads its text, its choices, its reader."""
 
     help: str
     type: Callable = str
     choices: Tuple[str, ...] = ()
-    #: checks a set value; raises ValueError for an invalid parameter and
-    #: FileNotFoundError for a missing input file
-    check: Optional[Callable] = None
+    #: turns a set value into the one the handler uses; raises ValueError for
+    #: an invalid parameter and FileNotFoundError for a missing input file
+    read: Optional[Callable] = None
     #: (JSON types, their name) a config value may have, if not those of ``type``
     config_types: Optional[Tuple[tuple, str]] = None
 
@@ -226,40 +224,40 @@ _OPTIONS: Dict[str, _Option] = {
     "quiet": _Option("suppress progress output", bool),
     "threads": _Option(
         "accepted and ignored: sweep points are solved one after another, in order; "
-        "kept so that existing command lines and config files still run", int, check=_positive
+        "kept so that existing command lines and config files still run", int, read=_positive
     ),
     "mu": _Option(
         "first marginal: CSV with x,density rows; for gamma-limit atoms:loc:mass,...",
-        check=_existing_file,
+        read=_existing_file,
     ),
-    "nu": _Option("second marginal, in the form of --mu", check=_existing_file),
-    "cost": _Option(f"{_RULE_NAMES} | file:cost.csv (gamma-limit: {_RULE_NAMES})", check=_cost_rule),
-    "gamma": _Option("regularization weight, positive", float, check=_positive),
+    "nu": _Option("second marginal, in the form of --mu", read=_existing_file),
+    "cost": _Option(f"{_RULE_NAMES} | file:cost.csv (gamma-limit: {_RULE_NAMES})", read=_cost_rule),
+    "gamma": _Option("regularization weight, positive", float, read=_positive),
     "gammas": _Option(
         "comma-separated gamma values",
         config_types=((str, list), "a list of numbers or a string"),
-        check=_gamma_list,
+        read=_gamma_list,
     ),
     "schedule": _Option(
         "coupled:c=C:gammas=... | power:coeff=C:exp=P:gammas=... | pairs:g:d,...",
-        check=_parse_schedule,
+        read=_parse_schedule,
     ),
-    "n": _Option("cell count on the original domain", int, check=_positive),
+    "n": _Option("cell count on the original domain", int, read=_positive),
     "domain": _Option(
         "original domain as lo:hi; join a negative lo with =, as in --domain=-1:1",
-        check=_parse_domain,
+        read=_parse_domain,
     ),
     "tol": _Option(
-        "marginal residual tolerance; for check-optimality that of the verdict", float, check=_positive
+        "marginal residual tolerance; for check-optimality that of the verdict", float, read=_positive
     ),
-    "max_iter": _Option("iteration cap of each solve", int, check=_positive),
+    "max_iter": _Option("iteration cap of each solve", int, read=_positive),
     "mode": _Option("scaling arithmetic", choices=("log", "direct")),
-    "out": _Option("output path: JSON report, or CSV for the sweeps", check=_output_path),
+    "out": _Option("output path: JSON report, or CSV for the sweeps", read=_output_path),
     "plan": _Option(
-        "plan CSV (x,y,density) that solve writes and check-optimality reads", check=_output_path
+        "plan CSV (x,y,density) that solve writes and check-optimality reads", read=_output_path
     ),
     "young": _Option("Young function of the norm", choices=tuple(_YOUNG)),
-    "input": _Option("CSV with x,density rows", check=_existing_file),
+    "input": _Option("CSV with x,density rows", read=_existing_file),
 }
 
 
@@ -350,14 +348,15 @@ def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str,
 
 
 def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
-    """Return (kind, message) pairs for the set options; kind is "param" or "missing"."""
+    """Read each set option into ``o`` in place; return (kind, message) pairs,
+    kind being "param" or "missing", for the options that cannot be read."""
     v: List[Tuple[str, str]] = []
     for key, value in o.items():
-        check = _COMMANDS[command].checks.get(key, _OPTIONS[key].check)
-        if value is None or check is None:
+        read = _COMMANDS[command].readers.get(key, _OPTIONS[key].read)
+        if value is None or read is None:
             continue
         try:
-            check(value)
+            o[key] = read(value)
         except FileNotFoundError as exc:
             v.append(("missing", f"{_flag(key)}: {exc}"))
         except (ValueError, ArithmeticError) as exc:  # such as gamma**exp overflowing
@@ -365,16 +364,29 @@ def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
     return v
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
-    if path is None:
+def _json_ready(obj):
+    """``obj`` with each float outside the double range, and NaN, as None (JSON null)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if out_dir and not os.path.isabs(path):
-        return os.path.join(out_dir, path)
-    return path
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    return json.dumps(_json_ready(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(o: Dict[str, object], texts: Dict[str, str]) -> None:
+    """Write each text to the path of the option it is keyed by, if that is set,
+    a relative path under --out-dir; all files appear or none."""
+    # os.path.join keeps an absolute path as it is
+    emit_files({
+        os.path.join(o["out_dir"] or "", o[key]): text
+        for key, text in texts.items() if o[key] is not None
+    })
 
 
 def emit_files(outputs: Dict[str, str]) -> None:
@@ -466,25 +478,13 @@ def _build_cost(descriptor: str, mu, nu, grids) -> solver.CostField:
     return solver.cost_field(*grids, descriptor)
 
 
+#: the solve JSON's names of the report fields it renames; every other field keeps its name
+_JSON_NAMES = {"residual_history": "residuals", "primal_value": "primal", "dual_value": "dual"}
+
+
 def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict:
-    return {
-        "iterations": report.iterations,
-        "residuals": list(report.residual_history),
-        "primal": report.primal_value,
-        "dual": report.dual_value,
-        "gap": report.gap,
-        "optimality_residual": list(report.optimality_residual),
-        "gauge_constant": report.gauge_constant,
-        "converged": report.converged,
-        "mode": report.mode,
-        "absorptions": report.absorptions,
-        "fallbacks": report.fallbacks,
-        "kernel": report.kernel,
-        "kernel_reason": report.kernel_reason,
-        "sandwich_k": report.sandwich_k,
-        "sandwich_violation": report.sandwich_violation,
-        "provenance": provenance,
-    }
+    """Every field of ``report``, under its JSON name, and the options' provenance."""
+    return {**{_JSON_NAMES.get(k, k): v for k, v in vars(report).items()}, "provenance": provenance}
 
 
 def _load_problem(o: Dict[str, object]) -> Tuple[
@@ -512,10 +512,10 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
     except solver.ConvergenceError as exc:
         result, report, code = None, exc.report, EXIT_FAILED
 
-    outputs = {_resolve_out(o["out"], o["out_dir"]): _json_text(_report_dict(report, cfg.provenance))}
+    texts = {"out": _json_text(_report_dict(report, cfg.provenance))}
     if o["plan"] is not None and result is not None:
-        outputs[_resolve_out(o["plan"], o["out_dir"])] = measures._product_csv_text(result.plan)
-    emit_files(outputs)
+        texts["plan"] = measures._product_csv_text(result.plan)
+    _emit(o, texts)
     if not o["quiet"]:
         state = "converged" if report.converged else "did NOT converge"
         print(
@@ -528,7 +528,7 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
 def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
-    gammas = _parse_floats(o["gammas"])
+    gammas = o["gammas"]
     # each distinct gamma once, in decreasing order, warm-started from the
     # potential of the last point that solved; rows keep the given order
     solved, beta = {}, None
@@ -549,7 +549,7 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
                  rep.optimality_residual[0], rep.optimality_residual[1], status)
             )
     header = ["gamma", "iterations", "primal", "dual", "gap", "r1", "r2", "status"]
-    emit_files({_resolve_out(o["out"], o["out_dir"]): measures._csv_text(header, rows)})
+    _emit(o, {"out": measures._csv_text(header, rows)})
     if not o["quiet"]:
         print(f"swept {len(rows)} gamma values -> {o['out']}")
     return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_FAILED
@@ -557,14 +557,10 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
 
 def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    mu = _parse_atoms(o["mu"])
-    nu = _parse_atoms(o["nu"])
-    lo, hi = _parse_domain(o["domain"])
-    schedule = _parse_schedule(o["schedule"])
-    grid = measures.Grid1D(lo, hi, o["n"])
-    ext = gl.ExtendedDomain.extend(grid, max(d for _, d in schedule))
+    schedule = o["schedule"]
+    ext = gl.ExtendedDomain.extend(measures.Grid1D(*o["domain"], o["n"]), max(d for _, d in schedule))
     points = gl.gamma_sweep(
-        mu, nu, o["cost"], schedule, ext, tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"]
+        o["mu"], o["nu"], o["cost"], schedule, ext, tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"]
     )
     rows = []
     for p in points:
@@ -576,7 +572,7 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
         )
     header = ["gamma", "delta", "regularized_value", "reference", "gap_to_reference",
               "entropy_mu_delta", "entropy_nu_delta", "status"]
-    emit_files({_resolve_out(o["out"], o["out_dir"]): measures._csv_text(header, rows)})
+    _emit(o, {"out": measures._csv_text(header, rows)})
     if not o["quiet"]:
         for p in points:
             print(f"gamma={p.gamma} delta={p.delta} value={p.regularized_value!r} [{p.status}]")
@@ -594,9 +590,7 @@ def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
         "young": o["young"],
         "provenance": cfg.provenance,
     }
-    out = _resolve_out(o["out"], o["out_dir"])
-    if out:
-        emit_files({out: _json_text(payload)})
+    _emit(o, {"out": _json_text(payload)})
     print(repr(result.value))
     return EXIT_OK
 
@@ -605,9 +599,7 @@ def _cmd_entropy(cfg: ExperimentConfig) -> int:
     o = cfg.options
     f = _load_measure(o["input"])
     value = orlicz.neg_entropy(f)
-    out = _resolve_out(o["out"], o["out_dir"])
-    if out:
-        emit_files({out: _json_text({"value": value, "provenance": cfg.provenance})})
+    _emit(o, {"out": _json_text({"value": value, "provenance": cfg.provenance})})
     print(repr(value))
     return EXIT_OK
 
@@ -632,9 +624,7 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
         "tol": o["tol"],
         "provenance": cfg.provenance,
     }
-    out = _resolve_out(o["out"], o["out_dir"])
-    if out:
-        emit_files({out: _json_text(payload)})
+    _emit(o, {"out": _json_text(payload)})
     if not o["quiet"]:
         print(f"r1={r1!r} r2={r2!r} primal={primal!r} within_tol={within}")
     return EXIT_OK if within else EXIT_FAILED
@@ -645,8 +635,8 @@ class _Command(NamedTuple):
     run: Callable[[ExperimentConfig], int]
     #: the options the subcommand takes besides those of _SHARED, with their defaults
     defaults: Dict[str, object]
-    #: checks of options the subcommand reads otherwise than _OPTIONS does
-    checks: Dict[str, Callable] = {}
+    #: readers of options the subcommand reads otherwise than _OPTIONS does
+    readers: Dict[str, Callable] = {}
 
 
 #: options of every subcommand besides --config, with their defaults
@@ -664,7 +654,7 @@ _COMMANDS: Dict[str, _Command] = {
     "gamma-limit": _Command("smoothed-marginal (gamma, delta) sweep", _cmd_gamma_limit, {
         "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "schedule": _REQUIRED, "n": 256,
         "domain": "0:1", "tol": 1e-9, "max_iter": 100000, "mode": "log", "out": "sweep.csv",
-    }, checks={"mu": _parse_atoms, "nu": _parse_atoms, "cost": _convex_cost_rule}),
+    }, readers={"mu": _parse_atoms, "nu": _parse_atoms, "cost": _convex_cost_rule}),
     "orlicz-norm": _Command("Luxemburg norm of a sampled function", _cmd_orlicz_norm, {
         "young": "log", "input": _REQUIRED, "tol": 1e-10, "out": None,
     }),
@@ -672,7 +662,7 @@ _COMMANDS: Dict[str, _Command] = {
     "check-optimality": _Command("recheck a stored plan", _cmd_check_optimality, {
         "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "gamma": _REQUIRED,
         "plan": _REQUIRED, "tol": 1e-6, "out": None,
-    }, checks={"plan": _existing_file}),
+    }, readers={"plan": _existing_file}),
 }
 
 
@@ -699,9 +689,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except solver.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_MISSING_FILE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE

@@ -211,36 +211,29 @@ class ProductDensity(ProductFunction):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite sum of point masses on an interval.
+    """Finite sum of point masses on the real line.
 
     ``atoms`` is a sequence of ``(location, mass)`` pairs with finite
-    positive masses summing to 1 within :data:`MASS_TOL` and finite
-    locations inside ``[lo, hi]``.
+    locations and finite positive masses summing to 1 within
+    :data:`MASS_TOL`. The measure has no domain of its own;
+    ``gamma_limit.smooth_marginal`` refuses an atom outside the original domain.
     """
 
     atoms: Tuple[Tuple[float, float], ...]
-    lo: float = 0.0
-    hi: float = 1.0
 
-    def __init__(self, atoms: Iterable[Tuple[float, float]], lo: float = 0.0, hi: float = 1.0) -> None:
+    def __init__(self, atoms: Iterable[Tuple[float, float]]) -> None:
         pairs = tuple((float(x), float(m)) for x, m in atoms)
         if not pairs:
             raise ValueError("an atomic measure needs at least one atom")
-        if hi <= lo:
-            raise ValueError(f"domain needs hi > lo, got [{lo}, {hi}]")
         for x, m in pairs:
             if not (np.isfinite(x) and np.isfinite(m)):
                 raise ValueError(f"atom at {x} with mass {m} is not finite")
             if m <= 0:
                 raise ValueError(f"atom at {x} has non-positive mass {m}")
-            if not (lo <= x <= hi):
-                raise ValueError(f"atom location {x} outside the domain [{lo}, {hi}]")
         total = sum(m for _, m in pairs)
         if _off_unit_mass(total):
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", pairs)
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
 
     @property
     def locations(self) -> np.ndarray:
@@ -251,7 +244,7 @@ class AtomicMeasure:
         return np.array([m for _, m in self.atoms])
 
     def sorted(self) -> "AtomicMeasure":
-        return AtomicMeasure(sorted(self.atoms), self.lo, self.hi)
+        return AtomicMeasure(sorted(self.atoms))
 
 
 MeasureLike = Union[GridMeasure, ProductDensity]

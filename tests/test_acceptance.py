@@ -205,8 +205,8 @@ def test_logdomain_robustness():
 
 @pytest.mark.criterion(9, "coupled schedule drives the transport value to the reference")
 def test_gamma_limit_coupled():
-    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
-    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
     schedule = [(0.2, 0.2), (0.1, 0.1), (0.05, 0.05), (0.025, 0.025)]
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 256), 0.2)
     start = time.perf_counter()
@@ -222,8 +222,8 @@ def test_gamma_limit_coupled():
 
 @pytest.mark.criterion(10, "delta = 0.01 gamma^2 keeps the weighted entropy term growing")
 def test_gamma_limit_divergent():
-    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
-    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
     schedule = power_schedule([0.025, 0.05, 0.1, 0.2], coeff=0.01, exponent=2.0)
     smallest = min(d for _, d in schedule)
     n = 640_000  # resolves delta = 0.01 * 0.025^2 with h <= delta/4
@@ -240,7 +240,7 @@ def test_gamma_limit_divergent():
 
 @pytest.mark.criterion(11, "neg-entropy of a smoothed atom grows as delta halves")
 def test_entropy_blowup_witness():
-    atom = AtomicMeasure([(0.5, 1.0)], lo=-1.0, hi=2.0)
+    atom = AtomicMeasure([(0.5, 1.0)])
     deltas = [0.2, 0.1, 0.05, 0.025, 0.0125]
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 1024), max(deltas))
     entropies = []

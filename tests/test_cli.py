@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from entot import cli, solver
 from entot.measures import (
+    AtomicMeasure,
     Grid1D,
     GridMeasure,
     ProductDensity,
@@ -98,6 +100,65 @@ def test_solve_writes_report_with_fixed_keys(tmp_path, marginal_files):
     assert report["kernel"] == "dense" and "crossover" in report["kernel_reason"]
     assert report["sandwich_k"] >= 0 and report["sandwich_violation"] <= 1e-9
     assert report["provenance"]["gamma"] == "flag"
+
+
+def test_solve_json_is_the_report(tmp_path, monkeypatch, marginal_files):
+    reports = []
+
+    def solve_logdomain(*args, **kwargs):
+        result = real(*args, **kwargs)
+        reports.append(result.report)
+        return result
+
+    real = solver.solve_logdomain
+    monkeypatch.setattr(solver, "solve_logdomain", solve_logdomain)
+    mu, nu = marginal_files
+    out = tmp_path / "report.json"
+    assert run(["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--out", str(out), "--quiet"]) == 0
+    (report,) = reports
+    renamed = {"residual_history": "residuals", "primal_value": "primal", "dual_value": "dual"}
+    fields = {
+        renamed.get(f.name, f.name): getattr(report, f.name) for f in dataclasses.fields(report)
+    }
+    written = json.loads(out.read_text())
+    assert "transport_cost" in fields and set(written) == {*fields, "provenance"}
+    for key, value in fields.items():
+        assert written[key] == (list(value) if isinstance(value, tuple) else value), key
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_float_beyond_the_double_range_is_written_as_null(tmp_path):
+    # at this gamma the solve converges, and its gauge factor exp(log gauge) overflows
+    g = Grid1D(0.0, 1.0, 4)
+    paths = []
+    for name, wave in (("mu", np.sin), ("nu", np.cos)):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_measure_csv(paths[-1], GridMeasure(g, 1.0 + 0.4 * wave(2 * np.pi * g.centers), renormalize=True))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--mu", paths[0], "--nu", paths[1], "--gamma", "7e-5", "--tol", "1e-2",
+            "--max-iter", "200000", "--out", str(out), "--quiet"]
+    assert run(argv) == 0
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert report["converged"] is True
+    assert report["gauge_constant"] is None
+
+
+def test_help_of_every_subcommand_names_its_flags(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in cli._COMMANDS)
+    for command, spec in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as err:
+            run([command, "--help"])
+        assert err.value.code == 0, command
+        text = capsys.readouterr().out
+        for key in ("config", *cli._SHARED, *spec.defaults):
+            assert cli._flag(key) in text, (command, key)
 
 
 def test_solve_report_names_the_fft_kernel(tmp_path, monkeypatch, marginal_files):
@@ -503,6 +564,18 @@ def test_typed_config_values_are_used(tmp_path, marginal_files):
     out = tmp_path / "sweep.csv"
     assert run([*args, "--out", str(out), "--quiet"]) == 0
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0.5", "0.1"]
+    # each option is read once, into the value the handler uses
+    cfg, violations = cli.parse_config(["sweep-gamma", "--mu", mu, "--nu", nu, "--gammas", "0.5,0.1"])
+    assert violations == [] and cfg.options["gammas"] == [0.5, 0.1]
+    cfg, violations = cli.parse_config(
+        ["gamma-limit", "--mu", "atoms:-0.5:1", "--nu", "atoms:0.25:0.5,0.75:0.5", "--domain=-1:1",
+         "--schedule", "pairs:0.2:0.1,0.1:0.05"]
+    )
+    assert violations == []
+    assert cfg.options["schedule"] == [(0.2, 0.1), (0.1, 0.05)]
+    assert cfg.options["domain"] == (-1.0, 1.0)
+    assert cfg.options["mu"] == AtomicMeasure([(-0.5, 1.0)])
+    assert cfg.options["nu"] == AtomicMeasure([(0.25, 0.5), (0.75, 0.5)])
 
 
 @pytest.mark.parametrize(

@@ -179,7 +179,7 @@ def test_window_centers_are_the_extended_grids_within_a_few_ulps():
         grid = ext.extended
         ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
         for loc in (lo, 0.3 * lo + 0.7 * hi, hi):
-            sm = smooth_marginal(AtomicMeasure([(loc, 1.0)], lo, hi), 4e-4 * (hi - lo), ext)
+            sm = smooth_marginal(AtomicMeasure([(loc, 1.0)]), 4e-4 * (hi - lo), ext)
             first = int(round((sm.grid.lo - grid.lo) / grid.h))
             assert np.max(np.abs(sm.grid.centers - grid.centers[first:first + sm.grid.n])) <= 4 * ulp
 
@@ -265,7 +265,7 @@ def test_smooth_marginal_refuses_an_atom_outside_the_domain():
     ext = extended(n=64)  # [0, 1], extended by 0.25 on both sides
     # 1.1 lies in the extension, 25 beyond it: neither is in the grid's domain
     for loc in (-0.01, 1.1, 25.0):
-        atoms = AtomicMeasure([(0.5, 0.5), (loc, 0.5)], lo=-1.0, hi=30.0)
+        atoms = AtomicMeasure([(0.5, 0.5), (loc, 0.5)])
         with pytest.raises(ParameterError, match=rf"atom at {loc!r} lies outside the domain \[0.0, 1.0\]"):
             smooth_marginal(atoms, 0.1, ext)
     ends = smooth_marginal(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]), 0.1, ext)
@@ -331,8 +331,8 @@ def test_unregularized_matches_permutation_oracle_on_unequal_masses():
 
 
 def test_an_unregularized_reference_beyond_the_double_range_is_a_parameter_error():
-    mu = AtomicMeasure([(0.0, 1.0)], 0.0, 1e300)
-    nu = AtomicMeasure([(1e300, 1.0)], 0.0, 1e300)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1e300, 1.0)])
     assert unregularized_ot_1d(mu, nu, "abs") == 1e300
     with pytest.raises(ParameterError, match="the unregularized reference is inf"):
         unregularized_ot_1d(mu, nu, "sqdist")
@@ -366,8 +366,8 @@ def test_schedule_constructors():
 
 
 def simple_sweep(schedule, n=256, **kw):
-    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
-    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, n), max(d for _, d in schedule))
     return gamma_sweep(mu, nu, "sqdist", schedule, ext, **kw)
 
@@ -388,8 +388,8 @@ def test_sweep_returns_points_in_schedule_order():
 
 
 def test_sweep_point_matches_solve_on_smoothed_marginals():
-    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
-    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 128), 0.2)
     point = gamma_sweep(mu, nu, "sqdist", [(0.1, 0.2)], ext)[0]
     grid = ext.extended
@@ -405,8 +405,8 @@ def test_sweep_point_matches_solve_on_smoothed_marginals():
 
 def test_sweep_entropies_match_neg_entropy_of_smoothed_marginals():
     schedule = [(0.2, 0.2)]
-    mu = AtomicMeasure([(0.0, 1.0)], lo=-1.0, hi=2.0)
-    nu = AtomicMeasure([(1.0, 1.0)], lo=-1.0, hi=2.0)
+    mu = AtomicMeasure([(0.0, 1.0)])
+    nu = AtomicMeasure([(1.0, 1.0)])
     ext = ExtendedDomain.extend(Grid1D(0.0, 1.0, 256), 0.2)
     point = gamma_sweep(mu, nu, "sqdist", schedule, ext)[0]
     e_mu = neg_entropy(smooth_marginal(mu, 0.2, ext))

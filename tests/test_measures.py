@@ -147,9 +147,7 @@ def test_atomic_measure_sorted_and_validated():
     # NaN compares False both ways, so it must be refused by name
     for atoms in ([(0.5, float("nan"))], [(float("nan"), 1.0)], [(float("inf"), 1.0)]):
         with pytest.raises(ValueError, match="not finite"):
-            AtomicMeasure(atoms, 0.0, float("inf"))
-    with pytest.raises(ValueError):
-        AtomicMeasure([(2.0, 1.0)], lo=0.0, hi=1.0)
+            AtomicMeasure(atoms)
 
 
 def test_measure_csv_roundtrip(tmp_path):
