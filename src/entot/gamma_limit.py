@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Sequence, Tuple, Union
+from typing import ClassVar, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +37,8 @@ __all__ = [
 MIN_CELLS_PER_DELTA = 4
 
 #: cells an extended grid may have, 6.5 times the 640 000 cells of the finest
-#: benchmark case. It bounds the arrays of a smoothed marginal at 32 MiB: those
-#: of a grid measure span the extended grid, and an atomic marginal's window
-#: does when its atoms lie at both ends of the domain
+#: benchmark case. It bounds the arrays of a smoothed marginal at 32 MiB: its
+#: window spans the extended grid when its atoms lie at both ends of the domain
 _EXTENDED_CELLS = 1 << 22
 
 #: Z, the integral of exp(-1/(1-s^2)) over (-1, 1); a midpoint sum on
@@ -149,55 +148,38 @@ def _check_atoms(m: AtomicMeasure, ext: ExtendedDomain) -> None:
             raise ParameterError(f"atom at {loc!r} lies outside the domain [{lo!r}, {hi!r}]")
 
 
-def smooth_marginal(
-    m: Union[AtomicMeasure, GridMeasure], delta: float, ext: ExtendedDomain
-) -> GridMeasure:
-    """Convolve a measure with the width-delta bump on the extended grid.
+def smooth_marginal(m: AtomicMeasure, delta: float, ext: ExtendedDomain) -> GridMeasure:
+    """Convolve an atomic measure with the width-delta bump on the extended grid.
 
-    Both kinds sample the bump at cell centers and scale the samples to
-    unit discrete mass. Each atom contributes ``mass`` times the bump at
-    ``center - location``, on the cells within delta of it; the result
-    lives on the window of the extended grid from the lowest atom's first
-    such cell to the highest atom's last, a grid with the extended grid's
-    ``h`` (:meth:`Grid1D.window`), and no array of the extended grid's size
-    is built. Grid densities are zero-extended onto the whole extended grid
-    and convolved discretely. Total mass is preserved to rounding accuracy.
-    Atoms must lie in the original domain, the extension margin must cover
-    delta and the grid must resolve the kernel (h <= delta / 4).
+    Each atom contributes ``mass`` times the bump at ``center - location``,
+    sampled on the cells within delta of it and scaled to unit discrete
+    mass; the result lives on the window of the extended grid from the
+    lowest atom's first such cell to the highest atom's last, a grid with
+    the extended grid's ``h`` (:meth:`Grid1D.window`), and no array of the
+    extended grid's size is built. Total mass is preserved to rounding
+    accuracy. Atoms must lie in the original domain, the extension margin
+    must cover delta and the grid must resolve the kernel (h <= delta / 4).
+    Anything but an :class:`AtomicMeasure` is a TypeError: a grid measure
+    already has the finite entropy that smoothing supplies.
     """
+    if not isinstance(m, AtomicMeasure):
+        raise TypeError(f"cannot smooth a {type(m).__name__}")
     _check_delta(delta, ext)
+    _check_atoms(m, ext)
     grid = ext.extended
     h = grid.h
-    if isinstance(m, AtomicMeasure):
-        _check_atoms(m, ext)
-        spans = []  # each atom's cells within delta, first to stop - 1
-        for loc, _ in m.atoms:
-            first = min(max(math.floor((loc - delta - grid.lo) / h), 0), grid.n)
-            stop = min(max(math.ceil((loc + delta - grid.lo) / h) + 1, first), grid.n)
-            spans.append((first, stop))
-        w0 = min(first for first, _ in spans)
-        out = np.zeros(max(stop for _, stop in spans) - w0)
-        for (loc, mass), (first, stop) in zip(m.atoms, spans):
-            # the expression of Grid1D.centers, so that the samples match full-grid ones
-            vals = _unit_bump(grid.lo + (np.arange(first, stop) + 0.5) * h - loc, delta, h)
-            vals *= mass
-            out[first - w0 : stop - w0] += vals
-        return GridMeasure(grid.window(w0, w0 + out.size), out)
-    if isinstance(m, GridMeasure):
-        if abs(m.grid.h - h) > 1e-12 * h:
-            raise ParameterError("grid measure and extended grid have different cell widths")
-        half = int(math.floor(delta / h + 1e-12))
-        w = _unit_bump(np.arange(-half, half + 1) * h, delta, h)
-        padded = np.zeros(grid.n)
-        lo_idx = int(round((m.grid.lo - grid.lo) / h))
-        if lo_idx < 0 or lo_idx + m.grid.n > grid.n:
-            raise ParameterError(
-                f"grid measure on [{m.grid.lo!r}, {m.grid.hi!r}] does not lie within the "
-                f"extended grid [{grid.lo!r}, {grid.hi!r}]"
-            )
-        padded[lo_idx : lo_idx + m.grid.n] = m.density
-        return GridMeasure(grid, np.convolve(padded, w, mode="same") * h)
-    raise TypeError(f"cannot smooth a {type(m).__name__}")
+    spans = []  # each atom's cells within delta, first to stop - 1
+    for loc, _ in m.atoms:
+        first = min(max(math.floor((loc - delta - grid.lo) / h), 0), grid.n)
+        stop = min(max(math.ceil((loc + delta - grid.lo) / h) + 1, first), grid.n)
+        spans.append((first, stop))
+    w0 = min(first for first, _ in spans)
+    out = np.zeros(max(stop for _, stop in spans) - w0)
+    for (loc, mass), (first, stop) in zip(m.atoms, spans):
+        vals = _unit_bump(grid.cell_centers(np.arange(first, stop)) - loc, delta, h)
+        vals *= mass
+        out[first - w0 : stop - w0] += vals
+    return GridMeasure(grid.window(w0, w0 + out.size), out)
 
 
 def unregularized_ot_1d(

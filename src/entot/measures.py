@@ -98,7 +98,11 @@ class Grid1D:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.n) + 0.5) * self.h
+        return self.cell_centers(np.arange(self.n))
+
+    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
+        """The centers of the cells indexed by ``cells``: ``centers[cells]``, bit for bit."""
+        return self.lo + (cells + 0.5) * self.h
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi

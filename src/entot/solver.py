@@ -16,21 +16,25 @@ and equals the primal value at the joint optimum. Cells where a marginal
 vanishes carry scaling value 0 for the whole run, which reproduces the
 product support structure of the optimal plan exactly.
 
-One scaling loop serves :func:`solve` and :func:`solve_logdomain`, and
-through them every sweep. It runs on the supports only, iterates log a
-and log b, and asks one kernel object for the log row and column
-denominators. The dense kernel reduces the block by matvecs with the
-stabilized kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519).
-In log mode, the default everywhere else in the package, f starts at
--max_j log K_ij, f and g absorb log a and log b whenever these drift too
-far, and a pass that still over- or underflows is redone by log-sum-exp;
-in direct mode f = g = 0. The two agree to near machine precision
-whenever direct arithmetic does not over- or underflow. A cost named by a
-rule of :data:`COST_RULES` is evaluated on the support centers only.
-When such a rule meets two grids of one spacing, K is a Toeplitz matrix,
-and on large blocks whose kernel range FFT round-off can resolve, an FFT
-kernel convolves instead, in O(n log n) time and O(n) memory; a pass that
-fails its round-off check sends the solve back to the dense kernel.
+This entropy is that of the cell masses P = pi h1 h2 less log(h1 h2) times
+the mass, so one loop of plain discrete scaling between the supports' cell
+masses p = mu h1 and q = nu h2 serves :func:`solve`, :func:`solve_logdomain`
+and every sweep; the solve converts to and from densities once. The loop
+iterates log A = log a + log h1 and log B = log b + log h2 and asks one
+kernel object, which reads no cell width, for the log denominators of each
+pass. The dense kernel reduces the block by matvecs with the stabilized
+kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519). In log mode,
+the default everywhere else in the package, f starts at -max_j log K_ij, the
+kernel absorbs log A and log B into f and g after the first a-pass and
+whenever they drift too far, so that its entries are the plan's cell masses,
+and a pass that still over- or underflows is redone by log-sum-exp; in
+direct mode f = g = 0. The two agree to near machine precision whenever
+direct arithmetic does not over- or underflow. A rule of :data:`COST_RULES`
+is evaluated on the support centers only. When such a rule meets two grids
+of one spacing, K is a Toeplitz matrix, and on large blocks whose kernel
+range FFT round-off can resolve, an FFT kernel convolves instead, in
+O(n log n) time and O(n) memory; a pass that fails its round-off check
+sends the solve back to the dense kernel.
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
@@ -327,12 +331,14 @@ class SolveResult:
         smask, tmask = self._masks
         _check_plan_cells(smask.size, tmask.size)
         log_a, log_b = self._log_ab
-        # log pi = (log K + log a) + log b on the supports
-        with np.errstate(over="ignore"):  # K is 0 where c / gamma leaves the double range
+        # log pi = (log K + log a) + log b on the supports; K is 0 where c / gamma overflows
+        with np.errstate(over="ignore"):
             values = block = _cost_block(self._cost, self._grids, self._masks) / -self._gamma
-        block += log_a[:, None]
-        block += log_b
-        np.exp(block, out=block)
+            block += log_a[:, None]
+            block += log_b
+            np.exp(block, out=block)
+        if not np.isfinite(block).all():
+            raise ParameterError("the plan's densities leave the floating-point range")
         if not (smask.all() and tmask.all()):
             values = np.zeros((smask.size, tmask.size))
             values[np.ix_(smask, tmask)] = block
@@ -392,11 +398,11 @@ class _DenseKernel:
 
     It refuses a support block above :data:`_DENSE_CELLS` before it
     allocates. ``denominators`` returns log row (``side`` "a") or column
-    ("b") denominators, such as log(K @ exp(log b) h2), by one matvec with
-    the block; in log mode (``absorbing``) f starts at -max_j log K_ij,
-    ``absorb`` folds log a and log b into f and g and rebuilds the block,
-    and a pass with non-finite denominators is redone by log-sum-exp.
-    Otherwise f = g = 0 and a non-finite denominator raises.
+    ("b") denominators, such as log(K @ exp(log B)), by one matvec with
+    the block. In log mode (``absorbing``) f starts at -max_j log K_ij, the
+    kernel absorbs before a pass when due (:meth:`_absorb`), and a pass with
+    non-finite denominators is redone by log-sum-exp. Otherwise f = g = 0
+    and a non-finite denominator raises.
     """
 
     name = "dense"
@@ -408,13 +414,14 @@ class _DenseKernel:
                 f"the {m} x {n} support block exceeds the dense kernel's budget of {_DENSE_CELLS} cells"
             )
         self.c = c_st = _cost_block(c, grids, masks)
-        self.gamma, self.h1, self.h2 = gamma, grids[0].h, grids[1].h
+        self.gamma = gamma
         self.absorbing = absorbing = mode == "log"
         # log mode starts from f = -max_j log K_ij, so that every kernel row holds a 1
         self.f = c_st.min(axis=1) / gamma if absorbing else np.zeros(m)
         self.g = np.zeros(n)
         self.K = np.empty(c_st.shape)
         self.absorptions = self.fallbacks = 0
+        self._inputs = {}  # the last input of each side
         self._build()
 
     def _build(self) -> None:
@@ -426,17 +433,18 @@ class _DenseKernel:
         np.exp(K, out=K)
 
     def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
-        K, c, f, g, h = (
-            (self.K, self.c, self.f, self.g, self.h2) if side == "a"
-            else (self.K.T, self.c.T, self.g, self.f, self.h1)
+        if self.absorbing:
+            self._absorb(log_v, side)
+        K, c, f, g = (
+            (self.K, self.c, self.f, self.g) if side == "a" else (self.K.T, self.c.T, self.g, self.f)
         )
-        log_d = np.log(K @ np.exp(log_v - g) * h) - f
+        log_d = np.log(K @ np.exp(log_v - g)) - f
         if np.isfinite(log_d).all():
             return log_d
         if self.absorbing:
             self.fallbacks += 1
             m = c / -self.gamma
-            m += log_v + np.log(h)
+            m += log_v
             log_d = _logsumexp(m, axis=1)
             if np.isfinite(log_d).all():
                 return log_d
@@ -445,23 +453,24 @@ class _DenseKernel:
             raise DivergedScalingError(it, side)
         raise DirectOverflowError(it)
 
-    def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
-        """Log mode: fold log a, log b into f, g and rebuild the kernel once they drift.
+    def _absorb(self, log_v: np.ndarray, side: str) -> None:
+        """When due, fold the last log A and log B into f and g: the block then holds the plan's masses.
 
-        Only the drift of ``side``, the one just updated, is measured: f and
-        g change together, so the other side's drift is 0 or was found within
-        bounds at its own update.
+        That is due at the first b-pass, the first with inputs of both sides,
+        then once ``log_v``, the side just updated, drifts past
+        :data:`_ABSORB_AT` from its potential: f and g change together, so the
+        other side's drift is 0 or was found within bounds at its own pass.
         """
-        if self.absorbing and (
-            not self.absorptions
-            or np.abs(log_a - self.f if side == "a" else log_b - self.g).max() > _ABSORB_AT
-        ):
-            self.f[:], self.g[:] = log_a, log_b
+        self._inputs[side] = log_v
+        drift = np.abs(log_v - (self.g if side == "a" else self.f)).max() if self.absorptions else 0.0
+        if drift > _ABSORB_AT or (not self.absorptions and side == "b"):
+            # an a-pass reads log B, a b-pass log A
+            self.f[:], self.g[:] = self._inputs["b"], self._inputs["a"]
             self._build()
             self.absorptions += 1
 
     def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
-        """sum_ij a_i c_ij K_ij b_j by one matvec with c o K, formed in the
+        """sum_ij A_i c_ij K_ij B_j by one matvec with c o K, formed in the
         memory of K: the last call on the kernel. An infinite cost, where K
         is 0, makes it NaN."""
         self.K *= self.c
@@ -505,7 +514,7 @@ class _ToeplitzKernel:
             raise _Refused(f"the grids' spacings {h1!r} and {h2!r} differ")
         # the hulls' cell centers: x - y spans [lo, hi] on the hull block, and every rule is
         # convex in x - y and 0 at 0; a cost beyond the double range makes the spread inf or NaN
-        x, y = (_centers(g, np.arange(s[0], s[-1] + 1)) for g, s in zip(grids, (si, ti)))
+        x, y = (g.cell_centers(np.arange(s[0], s[-1] + 1)) for g, s in zip(grids, (si, ti)))
         fn = COST_RULES[c]
         lo, hi = x[0] - y[-1], x[-1] - y[0]
         spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
@@ -525,8 +534,8 @@ class _ToeplitzKernel:
         # one entry q + P - 1
         into_a, into_b = ti - ti[0], si - si[0]
         read_a, read_b = into_b + (Q - 1), into_a + (P - 1)
-        self._a = (rfft(k, L), into_a, read_a, h2)
-        self._b = (rfft(k[::-1], L), into_b, read_b, h1)
+        self._a = (rfft(k, L), into_a, read_a)
+        self._b = (rfft(k[::-1], L), into_b, read_b)
         self._c = (rfft(c * k, L), into_a, read_a)
 
     def _convolve(self, spectrum, into, read, log_v):
@@ -537,8 +546,7 @@ class _ToeplitzKernel:
         return np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read], m, w
 
     def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
-        spectrum, into, read, h = self._a if side == "a" else self._b
-        out, m, w = self._convolve(spectrum, into, read, log_v)
+        out, m, w = self._convolve(*(self._a if side == "a" else self._b), log_v)
         low = np.min(out)
         where = f"FFT kernel abandoned at the {side}-pass of iteration {it}"
         if not (low > 0 and np.all(np.isfinite(out))):
@@ -549,20 +557,12 @@ class _ToeplitzKernel:
                 f"{where}: round-off bound {bound:.1e} of the smallest "
                 f"denominator exceeds {_FFT_ROUNDOFF:g}"
             )
-        return np.log(out * h) + m
-
-    def absorb(self, log_a: np.ndarray, log_b: np.ndarray, side: str) -> None:
-        """Nothing to absorb: each pass shifts its input by its maximum."""
+        return np.log(out) + m
 
     def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
-        """sum_ij a_i c_ij K_ij b_j by one convolution with c k."""
+        """sum_ij A_i c_ij K_ij B_j by one convolution with c k."""
         out, m, _ = self._convolve(*self._c, log_b)
         return float(np.exp(log_a + m) @ out)
-
-
-def _centers(grid: Grid1D, cells: np.ndarray) -> np.ndarray:
-    """``grid.centers[cells]``, bit for bit, without the full-grid array."""
-    return grid.lo + (cells + 0.5) * grid.h
 
 
 def _cost_block(c, grids, masks) -> np.ndarray:
@@ -570,43 +570,41 @@ def _cost_block(c, grids, masks) -> np.ndarray:
     smask, tmask = masks
     if isinstance(c, CostField):
         return c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
-    x, y = (_centers(g, np.flatnonzero(m)) for g, m in zip(grids, masks))
+    x, y = (g.cell_centers(np.flatnonzero(m)) for g, m in zip(grids, masks))
     return _rule(c)(x[:, None], y[None, :])
 
 
-def _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
-    """Alternate a- and b-passes from ``log_b`` until the second marginal is within tol.
+def _scale(kernel, p, q, tol, max_iter, log_b):
+    """Alternate a- and b-passes on cell masses p and q from log B = ``log_b`` until q is within tol.
 
     Each iteration opens with the b-update of the one before, so the loop
     stops on the iterate its last residual measured. The loop is
     deterministic: once log b repeats with no absorption in between, every
     later pass repeats too, so it stops there. Only a residual equal to the
     one before can mark that, so only then are the vectors compared.
-    Returns the residuals, log a, log b, the last passes' log row
-    denominators and the plan's column sums. It runs under the error state
-    of :func:`_solve`.
+    Returns the residuals, log A, log B, the last passes' log row
+    denominators and the plan's column masses. It runs under the error
+    state of :func:`_solve`.
     """
-    log_mu = np.log(mu_s)
-    log_nu = np.log(nu_t)
+    log_p = np.log(p)
+    log_q = np.log(q)
     residuals: list = []
     for it in range(1, max_iter + 1):
         if it > 1:
             last_b, last_absorptions = log_b, absorptions
-            log_b = log_nu - col
-            kernel.absorb(log_a, log_b, "b")
-        absorptions = kernel.absorptions
+            log_b = log_q - col
         row = kernel.denominators(log_b, it, "a")
-        log_a = log_mu - row
-        kernel.absorb(log_a, log_b, "a")
+        absorptions = kernel.absorptions  # the count this a-pass's matvec saw
+        log_a = log_p - row
         col = kernel.denominators(log_a, it, "b")
-        colmarg = np.exp(log_b + col)
-        residuals.append(float(np.abs(colmarg - nu_t).sum() * h2))
+        colmass = np.exp(log_b + col)
+        residuals.append(float(np.abs(colmass - q).sum()))
         if residuals[-1] <= tol or (
             it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
             and np.array_equal(log_b, last_b)
         ):
             break
-    return residuals, log_a, log_b, row, colmarg
+    return residuals, log_a, log_b, row, colmass
 
 
 # arithmetic beyond the double range gives inf or NaN, not a warning; a
@@ -630,7 +628,7 @@ def _solve(
     :class:`_Refused`, and the next one starts afresh. ``kernel_reason``
     lists the refusals in the order the kernels were tried; if every kernel
     refuses, the solve is a ParameterError. The loop starts from log b = 0,
-    or from ``beta0`` / gamma shifted to a maximum of 0.
+    or from ``beta0`` / gamma shifted to a maximum of 0, plus log h2.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -647,24 +645,24 @@ def _solve(
             raise ParameterError("marginals and cost table live on different grids")
     else:
         _rule(c)
-    mu_s = mu.density[smask]
-    nu_t = nu.density[tmask]
-    h1, h2 = mu.grid.h, nu.grid.h
+    log_h1, log_h2 = np.log(mu.grid.h), np.log(nu.grid.h)
+    p = mu.density[smask] * mu.grid.h
+    q = nu.density[tmask] * nu.grid.h
     if beta0 is None:
-        log_b0 = np.zeros_like(nu_t)
+        log_b0 = np.full(q.shape, log_h2)
     else:
         beta0 = np.asarray(beta0, dtype=float)
-        if beta0.shape != nu_t.shape or not np.all(np.isfinite(beta0)):
-            raise ParameterError(f"beta0 must hold {nu_t.size} finite values, one per cell of supp nu")
+        if beta0.shape != q.shape or not np.all(np.isfinite(beta0)):
+            raise ParameterError(f"beta0 must hold {q.size} finite values, one per cell of supp nu")
         # the shift is a gauge choice: it keeps exp(log b) <= 1 in direct mode
-        log_b0 = (beta0 - beta0.max()) / gamma
+        log_b0 = (beta0 - beta0.max()) / gamma + log_h2
 
     grids, masks = (mu.grid, nu.grid), (smask, tmask)
     refusals = []
     for kind in (_ToeplitzKernel, _DenseKernel):
         try:
             kernel = kind(c, grids, masks, gamma, mode)
-            residuals, log_a, log_b, row, colmarg = _scale(kernel, mu_s, nu_t, h2, tol, max_iter, log_b0)
+            residuals, log_a, log_b, row, colmass = _scale(kernel, p, q, tol, max_iter, log_b0)
             break
         except _Refused as exc:
             refusals.append(str(exc))
@@ -672,18 +670,19 @@ def _solve(
         *tried, last = refusals
         raise ParameterError(f"{last}, and the FFT kernel cannot run: {'; '.join(tried)}")
 
-    # pi = a K b: the cost part is one more matvec
-    cost = kernel.cost(log_a, log_b) * h1 * h2
-    # the plan's row sums come from the last a-pass; its column sums are
+    # P = A K B: the cost part is one more matvec
+    cost = kernel.cost(log_a, log_b)
+    # the plan's row masses come from the last a-pass; its column masses are
     # the ones the last residual measured
-    rowmarg = np.exp(log_a + row)
-    mass = float(rowmarg.sum() * h1)
-    r1 = float(np.abs(rowmarg - mu_s).sum() * h1)
+    rowmass = np.exp(log_a + row)
+    mass = float(rowmass.sum())
+    r1 = float(np.abs(rowmass - p).sum())
 
-    # gauge: divide a by its integral so that sum_i a_i h1 = 1
-    log_gauge = _logsumexp(log_a + np.log(h1), axis=0)
-    log_a = log_a - log_gauge
-    log_b = log_b + log_gauge
+    # gauge: divide A by its sum, so that sum_i a_i h1 = 1, and return to
+    # densities (_logsumexp overwrites its argument)
+    log_gauge = _logsumexp(log_a.copy(), axis=0)
+    log_a = log_a - (log_gauge + log_h1)
+    log_b = log_b + (log_gauge - log_h2)
     gauge_constant = float(np.exp(log_gauge))
     # the sandwich bound: the gauged state's log row denominators are row + log_gauge,
     # and log a - log mu = -(row + log_gauge)
@@ -692,8 +691,8 @@ def _solve(
 
     # c + gamma log pi = gamma (log a + log b) on the block, so the primal
     # sum (c pi + gamma pi (log pi - 1)) h1 h2 needs only the marginals
-    primal = gamma * (float(log_a @ rowmarg) * h1 + float(log_b @ colmarg) * h2 - mass)
-    dual = -gamma * (mass - float(log_a @ mu_s) * h1 - float(log_b @ nu_t) * h2)
+    primal = gamma * (float(log_a @ rowmass) + float(log_b @ colmass) - mass)
+    dual = -gamma * (mass - float(log_a @ p) - float(log_b @ q))
     report = SolveReport(
         iterations=len(residuals),
         residual_history=tuple(residuals),

@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import entot
 from entot import cli, solver
 from entot.measures import (
     AtomicMeasure,
@@ -696,19 +699,41 @@ def test_a_mass_that_overflows_is_an_invalid_parameter(tmp_path, marginal_files,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cost, value", [("sqdist", "nan"), ("abs", "inf")])
-def test_gamma_limit_beyond_the_double_range_exits_3_and_writes_nothing(tmp_path, capsys, cost, value):
-    # smoothed densities near 1e301: the plan's entries, and with them the transport cost, overflow
+@pytest.mark.parametrize("cost", ["sqdist", "abs"])
+def test_gamma_limit_on_a_domain_of_1e_300_solves(tmp_path, capsys, cost):
+    # smoothed densities near 1e301 and plan densities near 1e602; the loop scales
+    # cell masses, so it solves (pytest makes a RuntimeWarning an error)
     out = tmp_path / "gl.csv"
     argv = ["gamma-limit", "--mu=atoms:2e-301:1", "--nu=atoms:7e-301:1", "--domain=0:1e-300", "--n", "100",
-            "--schedule", "pairs:0.1:1e-301", "--cost", cost, "--out", str(out)]
-    assert run(argv) == 3
+            "--schedule", "pairs:0.1:1e-301", "--cost", cost, "--quiet", "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["status"] for row in rows] == ["ok"]
+    assert all(np.isfinite(float(v)) for k, v in rows[0].items() if k != "status")
+    if cost == "abs":
+        # every coupling of two disjoint supports costs the same under the abs rule
+        assert float(rows[0]["regularized_value"]) == pytest.approx(
+            float(rows[0]["reference"]), rel=1e-12)
+
+
+def test_a_plan_beyond_the_double_range_is_an_invalid_parameter(tmp_path, capsys):
+    # on [0, 1e-200] the solve's cell masses are fine, but the plan's densities near 1e400 are not
+    g = Grid1D(0.0, 1e-200, 32)
+    x = g.centers / 1e-200
+    mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
+    write_measure_csv(mu, GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True))
+    write_measure_csv(nu, GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True))
+    out, plan = tmp_path / "report.json", tmp_path / "plan.csv"
+    argv = ["solve", "--mu", str(mu), "--nu", str(nu), "--cost", "abs", "--gamma", "1e-201",
+            "--quiet", "--out", str(out)]
+    assert run([*argv, "--plan", str(plan)]) == 3
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"error: the solve's transport cost is {value}, outside the floating-point range\n"
-    )
+    assert captured.err == "error: the plan's densities leave the floating-point range\n"
     assert captured.out == ""
-    assert not out.exists()
+    assert not out.exists() and not plan.exists()
+    # the same solve without the plan succeeds
+    assert run(argv) == 0 and out.exists()
 
 
 def _assert_finite_where_ok(code, out):
@@ -740,22 +765,65 @@ def test_solve_sweep_and_gamma_limit_at_every_domain_scale(tmp_path, capsys, k):
     mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
     write_measure_csv(mu, GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True))
     write_measure_csv(nu, GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True))
-    codes = []
+    solves, limits = [], []
     for cost in ("sqdist", "abs"):
         for mode in ("log", "direct"):
             common = ["--mu", str(mu), "--nu", str(nu), "--cost", cost, "--mode", mode,
                       "--max-iter", "500", "--quiet"]
             out = tmp_path / f"solve-{cost}-{mode}.json"
             code = run(["solve", *common, "--gamma", "0.1", "--out", str(out)])
-            codes.append(_assert_finite_where_ok(code, out))
+            solves.append(_assert_finite_where_ok(code, out))
             out = tmp_path / f"sweep-{cost}-{mode}.csv"
             code = run(["sweep-gamma", *common, "--gammas", "1,0.1", "--out", str(out)])
-            codes.append(_assert_finite_where_ok(code, out))
+            solves.append(_assert_finite_where_ok(code, out))
         out = tmp_path / f"gl-{cost}.csv"
         argv = ["gamma-limit", f"--mu=atoms:{0.2 * s!r}:1", f"--nu=atoms:{0.7 * s!r}:1", f"--domain=0:{s!r}",
                 "--n", "100", "--schedule", f"pairs:0.1:{0.1 * s!r}", "--cost", cost, "--max-iter", "500",
                 "--quiet", "--out", str(out)]
-        codes.append(_assert_finite_where_ok(run(argv), out))
-    assert k != 0 or set(codes) == {0}
+        limits.append(_assert_finite_where_ok(run(argv), out))
+    err = capsys.readouterr().err
+    # the loop scales cell masses, which do not depend on a small scale
+    assert k > 0 or set(solves) == {0}
+    if -300 <= k <= 0:
+        assert set(limits) == {0}
+    elif k < -300:  # smoothed densities near 1e306: their f log f overflows
+        assert set(limits) == {3}
+        assert err.count("neg-entropy integral of f log f overflows") == 2
     # a delta the extension was made for is within its margin at every scale
-    assert "extension margin" not in capsys.readouterr().err
+    assert "extension margin" not in err
+
+
+_EVERY_SUBCOMMAND = """
+import sys
+import numpy as np
+from entot import cli
+from entot.measures import Grid1D, GridMeasure, write_measure_csv
+
+g = Grid1D(0.0, 1.0, 16)
+write_measure_csv("mu.csv", GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * g.centers), renormalize=True))
+write_measure_csv("nu.csv", GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * g.centers), renormalize=True))
+pair = ["--mu", "mu.csv", "--nu", "nu.csv", "--quiet"]
+for argv in (
+    ["solve", *pair, "--gamma", "0.1", "--plan", "plan.csv"],
+    ["sweep-gamma", *pair, "--gammas", "1,0.1", "--out", "sweep.csv"],
+    ["check-optimality", *pair, "--gamma", "0.1", "--plan", "plan.csv"],
+    ["gamma-limit", "--mu", "atoms:0.2:1", "--nu", "atoms:0.7:1", "--n", "64",
+     "--schedule", "pairs:0.1:0.1", "--quiet", "--out", "gl.csv"],
+    ["orlicz-norm", "--young", "log", "--input", "mu.csv", "--quiet"],
+    ["entropy", "--input", "mu.csv", "--quiet"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"] or m.split(".")[0] == "scipy"]
+print("loaded:", *sorted(loaded))
+"""
+
+
+def test_no_subcommand_imports_numpy_ma_or_scipy(tmp_path):
+    # start-up is most of a small job's wall time, and numpy.ma alone costs about 20 ms:
+    # every subcommand, run in one fresh interpreter on tiny inputs, loads neither
+    src = os.path.dirname(os.path.dirname(entot.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _EVERY_SUBCOMMAND], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"

@@ -226,30 +226,6 @@ def test_windows_above_the_fft_crossover_solve_on_the_fft_kernel_as_the_full_gri
     assert window.transport_cost == pytest.approx(full.transport_cost, rel=1e-12)
 
 
-def test_smooth_grid_measure_preserves_mass():
-    ext = extended()
-    base = Grid1D(0.0, 1.0, 256)
-    rng = np.random.default_rng(3)
-    m = GridMeasure(base, rng.random(256) + 0.3, renormalize=True)
-    sm = smooth_marginal(m, 0.1, ext)
-    assert sm.mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_smooth_grid_measure_l1_converges_as_delta_shrinks():
-    ext = extended(n=1024)
-    base = Grid1D(0.0, 1.0, 1024)
-    m = GridMeasure(base, np.ones(1024))
-    grid = ext.extended
-    pad = np.zeros(grid.n)
-    pad[ext.cells:ext.cells + base.n] = 1.0
-    errs = []
-    for delta in (0.2, 0.1, 0.05, 0.025):
-        sm = smooth_marginal(m, delta, ext)
-        errs.append(float(np.abs(sm.density - pad).sum() * grid.h))
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-    assert errs[-1] < 0.05
-
-
 def test_smooth_rejects_unresolved_delta():
     ext = extended(n=64)  # h ~ 1/64
     atom = AtomicMeasure([(0.5, 1.0)])
@@ -259,6 +235,9 @@ def test_smooth_rejects_unresolved_delta():
         smooth_marginal(atom, 0.5, ext)  # exceeds the margin
     with pytest.raises(ParameterError):
         smooth_marginal(atom, -0.1, ext)
+    # a grid measure has finite entropy already: only atoms are smoothed
+    with pytest.raises(TypeError, match="cannot smooth a GridMeasure"):
+        smooth_marginal(GridMeasure(Grid1D(0.0, 1.0, 64), np.ones(64)), 0.1, ext)
 
 
 def test_smooth_marginal_refuses_an_atom_outside_the_domain():
@@ -270,15 +249,6 @@ def test_smooth_marginal_refuses_an_atom_outside_the_domain():
             smooth_marginal(atoms, 0.1, ext)
     ends = smooth_marginal(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]), 0.1, ext)
     assert ends.mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_smooth_grid_measure_refuses_a_grid_outside_the_extended_grid():
-    ext = extended(n=64)  # [0, 1], extended by 0.25 on both sides
-    for lo in (-0.5, 0.5, 5.0):
-        m = GridMeasure(Grid1D(lo, lo + 1.0, 64), np.ones(64))
-        match = rf"grid measure on \[{lo!r}, {lo + 1.0!r}\] does not lie within the extended grid \[-0.25, 1.25\]"
-        with pytest.raises(ParameterError, match=match):
-            smooth_marginal(m, 0.1, ext)
 
 
 # ------------------------------------------------------------ 1d transport

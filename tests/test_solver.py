@@ -537,16 +537,22 @@ def test_dense_budget_refuses_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200])
-def test_a_solve_whose_values_leave_the_double_range_is_refused(scale):
-    # densities near 1/scale give plan entries near scale**-2: the transport
-    # cost overflows although the loop converges (pytest makes a RuntimeWarning an error)
-    g = Grid1D(0.0, scale, 32)
-    x = g.centers / scale
-    mu = GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True)
-    nu = GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True)
-    for rule in COST_RULES:
-        with pytest.raises(ParameterError, match="the solve's transport cost is nan"):
-            solve_logdomain(mu, nu, rule, 0.1)
+def test_a_solve_on_a_tiny_domain_scales_with_it(scale):
+    # densities near 1/scale, plan densities near scale**-2 > 1e308: the loop scales
+    # cell masses, which do not depend on the scale, so the solve does not either.
+    # The abs rule on [0, s] at gamma s has the costs over gamma of [0, 1] at gamma
+    # (pytest makes a RuntimeWarning an error)
+    def sin_cos(s):
+        g = Grid1D(0.0, s, 32)
+        x = g.centers / s
+        mu = GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True)
+        nu = GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True)
+        return mu, nu
+
+    unit = solve_logdomain(*sin_cos(1.0), "abs", 0.1).report
+    tiny = solve_logdomain(*sin_cos(scale), "abs", 0.1 * scale).report
+    assert tiny.converged and tiny.iterations == unit.iterations
+    assert tiny.transport_cost / scale == pytest.approx(unit.transport_cost, rel=1e-13)
 
 
 def test_a_cost_rule_beyond_the_double_range_is_inf_without_a_warning():

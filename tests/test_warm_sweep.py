@@ -107,10 +107,10 @@ def test_a_warm_start_that_overflows_gives_the_cold_result(tmp_path, monkeypatch
     paths = write_pair(tmp_path, mu, nu)
     real = solver._scale
 
-    def overflowing(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
-        if np.any(log_b != 0):  # a warm start
+    def overflowing(kernel, p, q, tol, max_iter, log_b):
+        if np.any(log_b - np.log(nu.grid.h) != 0):  # a warm start
             raise solver.DirectOverflowError(1)
-        return real(kernel, mu_s, nu_t, h2, tol, max_iter, log_b)
+        return real(kernel, p, q, tol, max_iter, log_b)
 
     monkeypatch.setattr(solver, "_scale", overflowing)
     code, rows = sweep(tmp_path, paths, "0.5,0.2,0.1", "--mode", "direct")
@@ -129,9 +129,9 @@ def test_the_carry_is_the_potential_scaled_to_the_next_gamma(tmp_path, monkeypat
     starts = []
     real = solver._scale
 
-    def recorded(kernel, mu_s, nu_t, h2, tol, max_iter, log_b):
-        starts.append(log_b)
-        return real(kernel, mu_s, nu_t, h2, tol, max_iter, log_b)
+    def recorded(kernel, p, q, tol, max_iter, log_b):
+        starts.append(log_b - np.log(nu.grid.h))  # the loop scales cell masses: log B = log b + log h
+        return real(kernel, p, q, tol, max_iter, log_b)
 
     monkeypatch.setattr(solver, "_scale", recorded)
     sweep(tmp_path, paths, "0.1,0.025")
