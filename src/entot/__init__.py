@@ -12,20 +12,14 @@ from .measures import (
     product_measure,
     read_measure_csv,
     read_product_csv,
-    total_mass,
     write_measure_csv,
     write_product_csv,
 )
 from .orlicz import (
     PHI_EXP,
     PHI_LOG,
-    PHI_SOLVER,
-    PSI_SOLVER,
-    check_oplus_bound,
-    check_projection_bound,
     luxemburg_norm,
     neg_entropy,
-    young_eval,
 )
 from .solver import (
     ConvergenceError,

@@ -63,7 +63,9 @@ EXIT_MISSING_FILE = 4
 EXIT_FAILED = 5
 EXIT_WRITE = 6
 
-_YOUNG = {"log": orlicz.PHI_LOG, "exp": orlicz.PHI_EXP, "solver": orlicz.PHI_SOLVER}
+# "solver" names the solver's extended rule, +inf below 0 and the exp rule
+# above; a norm only evaluates its rule on |f|, so that rule is PHI_EXP there.
+_YOUNG = {"log": orlicz.PHI_LOG, "exp": orlicz.PHI_EXP, "solver": orlicz.PHI_EXP}
 
 
 class CliError(Exception):

@@ -142,9 +142,9 @@ def _check_delta(delta: float, ext: ExtendedDomain) -> None:
 
 def _check_atoms(m: AtomicMeasure, ext: ExtendedDomain) -> None:
     """Raise ParameterError if an atom of ``m`` lies outside the original domain."""
-    lo, hi = ext.original.lo, ext.original.hi
     for loc in m.locations.tolist():
-        if not lo <= loc <= hi:
+        if not ext.original.contains(loc):
+            lo, hi = ext.original.lo, ext.original.hi
             raise ParameterError(f"atom at {loc!r} lies outside the domain [{lo!r}, {hi!r}]")
 
 

@@ -12,7 +12,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "ProductDensity",
     "ProductFunction",
     "AtomicMeasure",
-    "total_mass",
     "marginals",
     "product_measure",
     "read_measure_csv",
@@ -249,14 +248,6 @@ class AtomicMeasure:
 
     def sorted(self) -> "AtomicMeasure":
         return AtomicMeasure(sorted(self.atoms))
-
-
-MeasureLike = Union[GridMeasure, ProductDensity]
-
-
-def total_mass(m: MeasureLike) -> float:
-    """Midpoint-rule total mass of a grid or product measure."""
-    return m.mass
 
 
 def marginals(p: ProductDensity) -> Tuple[GridMeasure, GridMeasure]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from entot.measures import AtomicMeasure, Grid1D, GridMeasure
-from entot.orlicz import PHI_EXP, PHI_LOG, check_projection_bound, luxemburg_norm, neg_entropy
+from entot.orlicz import PHI_EXP, PHI_LOG, luxemburg_norm, neg_entropy
 from entot.measures import ProductDensity
 from entot.solver import (
     CostField,
@@ -24,6 +24,7 @@ from entot.solver import (
 from entot.gamma_limit import ExtendedDomain, Mollifier, gamma_sweep, power_schedule, smooth_marginal
 
 import oracles
+from bounds import check_projection_bound
 
 
 def smooth_probability(grid, seed):

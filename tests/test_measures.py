@@ -15,7 +15,6 @@ from entot.measures import (
     product_measure,
     read_measure_csv,
     read_product_csv,
-    total_mass,
     write_measure_csv,
     write_product_csv,
 )
@@ -91,7 +90,6 @@ def test_renormalize_gives_unit_mass():
     g = Grid1D(0.0, 1.0, 32)
     m = GridMeasure(g, np.random.default_rng(0).random(32) + 0.5, renormalize=True)
     assert abs(m.mass - 1.0) < 1e-14
-    assert total_mass(m) == m.mass
 
 
 def test_density_array_is_immutable():
