@@ -27,7 +27,9 @@ an invalid parameter at any point exits 3 and writes nothing. Outputs are
 written atomically (all files appear, or none). Exit codes: 0 success, 2
 usage, 3 invalid parameter or an input that exists but cannot be read, 4
 missing input file, 5 computation failed or did not converge, 6 output
-write failure.
+write failure. Exit 4 needs every violation to be a missing file. Every
+nonzero exit prints its reason on stderr as an "error:" line, also under
+--quiet.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
 reader), and each subcommand once, in ``_COMMANDS`` (help, handler and the
@@ -35,9 +37,15 @@ defaults of the options it takes); the parser, the merge of flag, config
 value and default, and the checks are all built from these two tables. So
 is the reading of each value, once, into what the handler uses: a float
 list for --gammas, (gamma, delta) pairs for --schedule, a (lo, hi) pair for
---domain and an ``AtomicMeasure`` for gamma-limit's --mu and --nu. The
-solve JSON holds every field of the ``SolveReport``, and JSON outputs
-write a float outside the double range, or NaN, as null.
+--domain, an ``AtomicMeasure`` for gamma-limit's --mu and --nu, a
+``GridMeasure`` for the other commands' --mu, --nu and --input, a
+``CostField`` for --cost file:PATH and a ``ProductDensity`` for
+check-optimality's --plan. So input files are read while the options are
+checked, and a missing, unreadable or malformed file is reported under its
+flag with every other violation; the handlers check only that the files
+agree with each other. The solve JSON holds every field of the
+``SolveReport``, and JSON outputs write a float outside the double range,
+or NaN, as null.
 """
 
 from __future__ import annotations
@@ -84,8 +92,6 @@ class ExperimentConfig:
 
 
 def _parse_floats(text) -> List[float]:
-    if text is None:
-        raise ValueError("missing value")
     if isinstance(text, (list, tuple)):
         # a JSON list from a config file: numbers, or strings read as numbers
         if not all(isinstance(t, (str, int, float)) and not isinstance(t, bool) for t in text):
@@ -119,17 +125,29 @@ def _parse_domain(text) -> Tuple[float, float]:
     return lo, hi
 
 
+#: the keys of each key=value schedule kind besides the required gammas, with their defaults
+_SCHEDULE_DEFAULTS = {"coupled": {"c": 1.0}, "power": {"coeff": 0.01, "exp": 2.0}}
+
+
 def _parse_schedule(text) -> List[Tuple[float, float]]:
     kind, _, body = str(text).partition(":")
-    fields = dict(part.split("=", 1) for part in body.split(":") if "=" in part)
-    if kind == "coupled":
-        gammas = _parse_floats(fields.get("gammas"))
-        schedule = gl.coupled_schedule(gammas, float(fields.get("c", 1.0)))
-    elif kind == "power":
-        gammas = _parse_floats(fields.get("gammas"))
-        schedule = gl.power_schedule(
-            gammas, float(fields.get("coeff", 0.01)), float(fields.get("exp", 2.0))
-        )
+    if kind in _SCHEDULE_DEFAULTS:
+        keys, given = (*_SCHEDULE_DEFAULTS[kind], "gammas"), {}
+        for part in body.split(":"):
+            key, eq, value = part.partition("=")
+            if not eq or key not in keys or key in given:
+                raise ValueError(
+                    f"bad part {part!r}: a {kind} schedule takes {'=, '.join(keys)}=, each once"
+                )
+            given[key] = value
+        if "gammas" not in given:
+            raise ValueError(f"a {kind} schedule needs gammas=")
+        fields = {**_SCHEDULE_DEFAULTS[kind], **given}
+        gammas = _parse_floats(fields["gammas"])
+        if kind == "coupled":
+            schedule = gl.coupled_schedule(gammas, float(fields["c"]))
+        else:
+            schedule = gl.power_schedule(gammas, float(fields["coeff"]), float(fields["exp"]))
     elif kind == "pairs":
         schedule = []
         for chunk in body.split(","):
@@ -147,12 +165,6 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
     return schedule
 
 
-def _existing_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"file not found: {path}")
-    return path
-
-
 def _positive(value):
     if not 0 < value < math.inf:
         raise ValueError(f"must be positive and finite, got {value}")
@@ -168,10 +180,23 @@ def _output_path(path: str) -> str:
 _RULE_NAMES = " | ".join(solver.COST_RULES)
 
 
-def _cost_rule(cost: str) -> str:
+# The file readers look ``measures.read_*`` up at each call, so that a wrapper
+# later set on the module, such as a tracer's, sees every read.
+
+
+def _measure_file(path: str) -> measures.GridMeasure:
+    return measures.read_measure_csv(path)
+
+
+def _plan_file(path: str) -> measures.ProductDensity:
+    return measures.read_product_csv(path)
+
+
+def _cost(cost: str) -> Union[solver.CostField, str]:
+    """A rule name as it is, or the table of ``file:PATH`` on the table's own grids."""
     if cost.startswith("file:"):
-        _existing_file(cost[5:])
-        return cost
+        table = measures.read_product_csv(cost[5:])
+        return solver.CostField(table.grid1, table.grid2, table.values)
     return _convex_cost_rule(cost, f"{_RULE_NAMES} | file:PATH")
 
 
@@ -204,7 +229,7 @@ class _Option:
     type: Callable = str
     choices: Tuple[str, ...] = ()
     #: turns a set value into the one the handler uses; raises ValueError for
-    #: an invalid parameter and FileNotFoundError for a missing input file
+    #: an invalid parameter and OSError for an input file it cannot read
     read: Optional[Callable] = None
     #: (JSON types, their name) a config value may have, if not those of ``type``
     config_types: Optional[Tuple[tuple, str]] = None
@@ -230,10 +255,10 @@ _OPTIONS: Dict[str, _Option] = {
     ),
     "mu": _Option(
         "first marginal: CSV with x,density rows; for gamma-limit atoms:loc:mass,...",
-        read=_existing_file,
+        read=_measure_file,
     ),
-    "nu": _Option("second marginal, in the form of --mu", read=_existing_file),
-    "cost": _Option(f"{_RULE_NAMES} | file:cost.csv (gamma-limit: {_RULE_NAMES})", read=_cost_rule),
+    "nu": _Option("second marginal, in the form of --mu", read=_measure_file),
+    "cost": _Option(f"{_RULE_NAMES} | file:cost.csv (gamma-limit: {_RULE_NAMES})", read=_cost),
     "gamma": _Option("regularization weight, positive", float, read=_positive),
     "gammas": _Option(
         "comma-separated gamma values",
@@ -259,7 +284,7 @@ _OPTIONS: Dict[str, _Option] = {
         "plan CSV (x,y,density) that solve writes and check-optimality reads", read=_output_path
     ),
     "young": _Option("Young function of the norm", choices=tuple(_YOUNG)),
-    "input": _Option("CSV with x,density rows", read=_existing_file),
+    "input": _Option("CSV with x,density rows", read=_measure_file),
 }
 
 
@@ -360,7 +385,9 @@ def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
         try:
             o[key] = read(value)
         except FileNotFoundError as exc:
-            v.append(("missing", f"{_flag(key)}: {exc}"))
+            v.append(("missing", f"{_flag(key)}: file not found: {exc.filename}"))
+        except OSError as exc:  # such as a directory given as the file
+            v.append(("param", f"{_flag(key)}: cannot read {exc.filename}: {exc.strerror or exc}"))
         except (ValueError, ArithmeticError) as exc:  # such as gamma**exp overflowing
             v.append(("param", f"{_flag(key)}: {exc}"))
     return v
@@ -440,25 +467,8 @@ def emit_files(outputs: Dict[str, str]) -> None:
                 pass
 
 
-def _read(read: Callable, path: str, what: str):
-    """``read(path)`` for a CSV reader of ``measures``; a missing file exits 4,
-    an unreadable or malformed one 3."""
-    try:
-        return read(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_MISSING_FILE, f"{what} file not found: {path}")
-    except OSError as exc:  # such as a directory given as the file
-        raise CliError(EXIT_PARAM, f"cannot read {what} file {path}: {exc.strerror or exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_PARAM, str(exc))
-
-
-def _load_measure(path: str) -> measures.GridMeasure:
-    return _read(measures.read_measure_csv, path, "input")
-
-
 def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
-    """Exit 3 unless the grids of a table read from CSV are those of --mu and --nu."""
+    """Exit 3 unless the grids of the table of option ``what`` are those of --mu and --nu."""
     for key, grid, m in (("mu", table.grid1, mu), ("nu", table.grid2, nu)):
         # the grids are rebuilt from printed centers, so match them to a fraction of a cell
         if grid.n != m.grid.n or not np.allclose(
@@ -466,18 +476,9 @@ def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
         ):
             raise CliError(
                 EXIT_PARAM,
-                f"{what} grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) does not match "
-                f"--{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
+                f"{_flag(what)}: {what} grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) "
+                f"does not match --{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
             )
-
-
-def _build_cost(descriptor: str, mu, nu, grids) -> solver.CostField:
-    """--cost tabulated on ``grids``; a cost file must be on the grids of --mu and --nu."""
-    if descriptor.startswith("file:"):
-        table = _read(measures.read_product_csv, descriptor[5:], "cost")
-        _match_grids("cost", table, mu, nu)
-        return solver.CostField(*grids, table.values)
-    return solver.cost_field(*grids, descriptor)
 
 
 #: the solve JSON's names of the report fields it renames; every other field keeps its name
@@ -489,17 +490,28 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
     return {**{_JSON_NAMES.get(k, k): v for k, v in vars(report).items()}, "provenance": provenance}
 
 
+def _failed(reason: str) -> int:
+    """Exit 5, with ``reason`` on stderr."""
+    print(f"error: {reason}", file=sys.stderr)
+    return EXIT_FAILED
+
+
+def _sweep_exit(statuses: List[str]) -> int:
+    """Exit 0 if every point of a sweep is ok, else 5, saying how many failed."""
+    failed = sum(status != "ok" for status in statuses)
+    return _failed(f"{failed} of {len(statuses)} points failed") if failed else EXIT_OK
+
+
 def _load_problem(o: Dict[str, object]) -> Tuple[
     measures.GridMeasure, measures.GridMeasure, Union[solver.CostField, str]
 ]:
-    """Load --mu, --nu and --cost, a rule name as it is, to be evaluated on the supports only."""
-    mu = _load_measure(o["mu"])
-    nu = _load_measure(o["nu"])
+    """--mu, --nu and --cost: a cost table matched to their grids, or a rule name as it is,
+    to be evaluated on the supports only."""
+    mu, nu, cost = o["mu"], o["nu"], o["cost"]
     if o.get("plan") is not None:  # solve --plan: refuse an oversized plan before solving
         solver._check_plan_cells(mu.grid.n, nu.grid.n)
-    cost = o["cost"]
-    if cost.startswith("file:"):
-        cost = _build_cost(cost, mu, nu, (mu.grid, nu.grid))
+    if isinstance(cost, solver.CostField):
+        _match_grids("cost", cost, mu, nu)
     return mu, nu, cost
 
 
@@ -507,12 +519,12 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
-    code = EXIT_OK
+    failure = None
     try:
         result = run(mu, nu, cost, o["gamma"], tol=o["tol"], max_iter=o["max_iter"])
         report = result.report
     except solver.ConvergenceError as exc:
-        result, report, code = None, exc.report, EXIT_FAILED
+        result, report, failure = None, exc.report, exc
 
     texts = {"out": _json_text(_report_dict(report, cfg.provenance))}
     if o["plan"] is not None and result is not None:
@@ -524,7 +536,7 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
             f"{state} in {report.iterations} iterations; primal {report.primal_value!r}, "
             f"dual {report.dual_value!r}, gap {report.gap!r}"
         )
-    return code
+    return EXIT_OK if failure is None else _failed(str(failure))
 
 
 def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
@@ -554,7 +566,7 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     _emit(o, {"out": measures._csv_text(header, rows)})
     if not o["quiet"]:
         print(f"swept {len(rows)} gamma values -> {o['out']}")
-    return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_FAILED
+    return _sweep_exit([row[-1] for row in rows])
 
 
 def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
@@ -578,13 +590,12 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     if not o["quiet"]:
         for p in points:
             print(f"gamma={p.gamma} delta={p.delta} value={p.regularized_value!r} [{p.status}]")
-    return EXIT_OK if all(p.status == "ok" for p in points) else EXIT_FAILED
+    return _sweep_exit([p.status for p in points])
 
 
 def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    f = _load_measure(o["input"])
-    result = orlicz.luxemburg_norm(f, _YOUNG[o["young"]], o["tol"])
+    result = orlicz.luxemburg_norm(o["input"], _YOUNG[o["young"]], o["tol"])
     payload = {
         "value": result.value,
         "bracket": list(result.bracket),
@@ -599,8 +610,7 @@ def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
 
 def _cmd_entropy(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    f = _load_measure(o["input"])
-    value = orlicz.neg_entropy(f)
+    value = orlicz.neg_entropy(o["input"])
     _emit(o, {"out": _json_text({"value": value, "provenance": cfg.provenance})})
     print(repr(value))
     return EXIT_OK
@@ -608,11 +618,12 @@ def _cmd_entropy(cfg: ExperimentConfig) -> int:
 
 def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    mu = _load_measure(o["mu"])
-    nu = _load_measure(o["nu"])
-    plan = _read(measures.read_product_csv, o["plan"], "plan")
+    mu, nu, plan, cost = o["mu"], o["nu"], o["plan"], o["cost"]
     _match_grids("plan", plan, mu, nu)
-    cost = _build_cost(o["cost"], mu, nu, (plan.grid1, plan.grid2))
+    if isinstance(cost, solver.CostField):
+        _match_grids("cost", cost, mu, nu)
+    else:
+        cost = solver.cost_field(plan.grid1, plan.grid2, cost)
     m1, m2 = measures.marginals(plan)
     r1 = float(np.abs(m1.density - mu.density).sum() * mu.grid.h)
     r2 = float(np.abs(m2.density - nu.density).sum() * nu.grid.h)
@@ -629,7 +640,9 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     _emit(o, {"out": _json_text(payload)})
     if not o["quiet"]:
         print(f"r1={r1!r} r2={r2!r} primal={primal!r} within_tol={within}")
-    return EXIT_OK if within else EXIT_FAILED
+    if not within:
+        return _failed(f"largest marginal residual {max(r1, r2)!r} exceeds --tol {o['tol']!r}")
+    return EXIT_OK
 
 
 class _Command(NamedTuple):
@@ -664,7 +677,7 @@ _COMMANDS: Dict[str, _Command] = {
     "check-optimality": _Command("recheck a stored plan", _cmd_check_optimality, {
         "mu": _REQUIRED, "nu": _REQUIRED, "cost": "sqdist", "gamma": _REQUIRED,
         "plan": _REQUIRED, "tol": 1e-6, "out": None,
-    }, readers={"plan": _existing_file}),
+    }, readers={"plan": _plan_file}),
 }
 
 

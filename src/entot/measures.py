@@ -107,56 +107,9 @@ class Grid1D:
         return self.lo <= x <= self.hi
 
 
-def _check_grid_match(grid: Grid1D, values: np.ndarray, what: str) -> None:
-    if values.shape[0] != grid.n:
-        raise ValueError(
-            f"{what} has {values.shape[0]} entries but the grid has {grid.n} cells"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} contains non-finite entries")
-
-
-@dataclass(frozen=True, eq=False)
-class GridMeasure:
-    """Nonnegative density sampled at the cell centers of a :class:`Grid1D`.
-
-    Total mass is ``sum(density) * h``. ``renormalize=True`` rescales the
-    density to mass 1 and checks the result within :data:`MASS_TOL`.
-    """
-
-    grid: Grid1D
-    density: np.ndarray
-
-    def __init__(self, grid: Grid1D, density, renormalize: bool = False) -> None:
-        dens = _frozen_array(density)
-        _check_grid_match(grid, dens, "density")
-        if np.any(dens < 0):
-            raise ValueError("density values must be nonnegative")
-        if renormalize:
-            mass = float(dens.sum() * grid.h)
-            if mass <= 0:
-                raise ValueError("cannot renormalize a measure with zero mass")
-            dens = _frozen_array(dens / mass)
-            # a subnormal mass can overflow the division
-            mass = float(dens.sum() * grid.h)
-            if _off_unit_mass(mass):
-                raise ValueError(
-                    f"probability measure has mass {mass!r}, off by more than {MASS_TOL}"
-                )
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", dens)
-
-    @property
-    def mass(self) -> float:
-        return float(self.density.sum() * self.grid.h)
-
-    def support_mask(self) -> np.ndarray:
-        return self.density > 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real-valued (possibly signed) function sampled on a :class:`Grid1D`.
+    """Finite, possibly signed function sampled on a :class:`Grid1D`, with cell weight ``h``.
 
     Used where a grid-sampled function is not a measure, e.g. dual
     potentials or inputs to Orlicz norms.
@@ -165,15 +118,67 @@ class GridFunction:
     grid: Grid1D
     values: np.ndarray
 
+    #: the name of the values in a refusal
+    _what = "values"
+
     def __init__(self, grid: Grid1D, values) -> None:
         vals = _frozen_array(values)
-        _check_grid_match(grid, vals, "values")
+        if vals.shape[0] != grid.n:
+            raise ValueError(
+                f"{self._what} has {vals.shape[0]} entries but the grid has {grid.n} cells"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{self._what} contains non-finite entries")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def weight(self) -> float:
+        return self.grid.h
 
     def mean(self) -> float:
         """Integral average over the interval."""
         return float(self.values.sum() * self.grid.h / self.grid.length)
+
+
+class GridMeasure(GridFunction):
+    """Nonnegative density sampled at the cell centers of a :class:`Grid1D`.
+
+    Total mass is ``sum(density) * h``. ``renormalize=True`` rescales the
+    density to mass 1 and checks the result within :data:`MASS_TOL`.
+    """
+
+    _what = "density"
+
+    def __init__(self, grid: Grid1D, density, renormalize: bool = False) -> None:
+        super().__init__(grid, density)
+        if np.any(self.values < 0):
+            raise ValueError("density values must be nonnegative")
+        if renormalize:
+            mass = self.mass
+            if mass <= 0:
+                raise ValueError("cannot renormalize a measure with zero mass")
+            dens = self.values / mass
+            # a subnormal mass can overflow the division
+            mass = float(dens.sum() * grid.h)
+            if _off_unit_mass(mass):
+                raise ValueError(
+                    f"probability measure has mass {mass!r}, off by more than {MASS_TOL}"
+                )
+            dens.setflags(write=False)
+            object.__setattr__(self, "values", dens)
+
+    @property
+    def density(self) -> np.ndarray:
+        """The sampled density: ``values``, under a measure's name."""
+        return self.values
+
+    @property
+    def mass(self) -> float:
+        return float(self.values.sum() * self.grid.h)
+
+    def support_mask(self) -> np.ndarray:
+        return self.values > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,15 +317,18 @@ def _read_table(path, names: Sequence[str]) -> np.ndarray:
     values = array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:k]] != list(names):
-            raise ValueError(f"{path}: expected header '{','.join(names)}'")
         try:
-            for row in filter(None, reader):
-                values.extend(map(float, row if len(row) == k else row[:k]))
-                if len(row) < k:
-                    raise ValueError("too few values")
-        except ValueError as exc:
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header[:k]] != list(names):
+                raise ValueError(f"{path}: expected header '{','.join(names)}'")
+            try:
+                for row in filter(None, reader):
+                    values.extend(map(float, row if len(row) == k else row[:k]))
+                    if len(row) < k:
+                        raise ValueError("too few values")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # such as a field longer than the csv module allows
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return np.frombuffer(values).reshape(-1, k)
 

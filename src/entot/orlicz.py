@@ -23,12 +23,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .measures import (
-    GridFunction,
-    GridMeasure,
-    ProductDensity,
-    ProductFunction,
-)
+from .measures import GridFunction, ProductFunction
 
 __all__ = [
     "PHI_LOG",
@@ -56,20 +51,7 @@ def PHI_EXP(s: np.ndarray) -> np.ndarray:
     return out
 
 
-GridLike = Union[GridMeasure, GridFunction, ProductFunction]
-
-
-def _values_and_weight(f: GridLike) -> Tuple[np.ndarray, float]:
-    if isinstance(f, GridMeasure):
-        return f.density, f.grid.h
-    if isinstance(f, GridFunction):
-        return f.values, f.grid.h
-    if isinstance(f, ProductFunction):
-        return f.values, f.weight
-    raise TypeError(f"unsupported input type {type(f).__name__}")
-
-
-def neg_entropy(m: Union[GridMeasure, ProductDensity]) -> float:
+def neg_entropy(m: Union[GridFunction, ProductFunction]) -> float:
     """Integral of f log f with the 0 log 0 = 0 convention.
 
     Sums each cell's mass f * w times log f, so a density whose f log f
@@ -78,7 +60,7 @@ def neg_entropy(m: Union[GridMeasure, ProductDensity]) -> float:
     where L is the measure of the domain, since t log t >= -1/e pointwise.
     An integral beyond the float range raises OverflowError.
     """
-    vals, w = _values_and_weight(m)
+    vals, w = m.values, m.weight
     if np.any(vals < 0):
         raise ValueError("neg-entropy is defined for nonnegative densities")
     pos = vals[vals > 0.0]
@@ -101,17 +83,22 @@ class NormResult:
 _BRACKET_CAP = 2000
 
 
-def luxemburg_norm(f: GridLike, phi: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10) -> NormResult:
+def luxemburg_norm(
+    f: Union[GridFunction, ProductFunction], phi: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10
+) -> NormResult:
     """Luxemburg norm inf{g > 0 : sum phi(|f_i| / g) * w <= 1} by bisection.
 
-    The defining integral is nonincreasing in g; the bracket starts at
-    (1e-300, 1), doubles the upper end until the integral drops to 1 or
-    below, then bisects until the bracket width falls under
-    ``tol * max(1, value)``. The zero function short-circuits to 0.
+    The defining integral is nonincreasing in g. The bracket starts at
+    (0.5, 1); its ends double while the integral at the upper end is above
+    1, or halve while the integral at the lower end is at most 1, which
+    leaves a factor-2 bracket around the norm. Bisection then stops once
+    the bracket is narrower than ``tol`` times its midpoint, a relative
+    tolerance at every scale, or its ends are adjacent doubles. The zero
+    function short-circuits to 0.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    vals, w = _values_and_weight(f)
+    vals, w = f.values, f.weight
     absvals = np.abs(np.asarray(vals, dtype=float)).ravel()
     if not np.any(absvals > 0):
         return NormResult(0.0, (0.0, 0.0), 0)
@@ -120,7 +107,7 @@ def luxemburg_norm(f: GridLike, phi: Callable[[np.ndarray], np.ndarray], tol: fl
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(phi(absvals / g)) * w)
 
-    lo, hi = 1e-300, 1.0
+    lo, hi = 0.5, 1.0
     for _ in range(_BRACKET_CAP):
         if integral(hi) <= 1.0:
             break
@@ -137,8 +124,10 @@ def luxemburg_norm(f: GridLike, phi: Callable[[np.ndarray], np.ndarray], tol: fl
         raise RuntimeError("failed to bracket the Luxemburg norm from below")
 
     iterations = 0
-    while hi - lo > tol * max(1.0, 0.5 * (lo + hi)) and iterations < 200:
+    while hi - lo > tol * 0.5 * (lo + hi) and iterations < 200:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles, as around a subnormal norm
+            break
         if integral(mid) <= 1.0:
             hi = mid
         else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import entot
-from entot import cli, solver
+from entot import cli, measures, solver
 from entot.measures import (
     AtomicMeasure,
     Grid1D,
@@ -408,6 +408,99 @@ def test_short_csv_row_is_parameter_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_a_field_past_the_csv_limit_is_parameter_error(tmp_path, capsys):
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x,density\n0.25," + "1" * 200_000 + "\n")
+    assert run(["entropy", "--input", str(huge)]) == 3
+    assert f"error: --input: {huge}: line 2: field larger than field limit" in capsys.readouterr().err
+
+
+def test_every_bad_input_file_is_reported_with_the_other_violations(tmp_path, marginal_files, capsys):
+    _, nu = marginal_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,density\n0.25,1.0\n0.75\n")
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "report.json"
+    argv = ["solve", "--mu", str(bad), "--nu", str(missing), "--cost", f"file:{bad}", "--gamma", "-1",
+            "--out", str(out), "--quiet"]
+    assert run(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(line.split(": ")[1] for line in lines) == ["--cost", "--gamma", "--mu", "--nu"]
+    assert f"error: --mu: {bad}: line 3: too few values" in lines
+    assert f"error: --nu: file not found: {missing}" in lines
+    assert f"error: --cost: {bad}: expected header 'x,y,density'" in lines
+    assert not out.exists()
+
+
+def test_input_files_are_read_through_the_measures_module(tmp_path, marginal_files, monkeypatch):
+    # so that a wrapper set on the module later, such as the benchmark's tracer, sees every read
+    mu, nu = marginal_files
+    g = Grid1D(0.0, 1.0, 48)
+    write_product_csv(tmp_path / "plan.csv", ProductDensity(g, g, np.ones((48, 48))))
+    write_product_csv(tmp_path / "cost.csv", ProductDensity(g, g, np.zeros((48, 48))))
+    reads = []
+    for name in ("read_measure_csv", "read_product_csv"):
+        real = getattr(measures, name)
+        monkeypatch.setattr(measures, name, lambda path, real=real: reads.append(path) or real(path))
+    _, violations = cli.parse_config(
+        ["check-optimality", "--mu", mu, "--nu", nu, "--gamma", "0.1", "--plan", str(tmp_path / "plan.csv"),
+         "--cost", f"file:{tmp_path / 'cost.csv'}"]
+    )
+    assert violations == []
+    assert sorted(reads) == sorted([mu, nu, str(tmp_path / "plan.csv"), str(tmp_path / "cost.csv")])
+
+
+def test_a_cost_file_gives_the_outputs_of_its_rule(tmp_path, marginal_files):
+    mu, nu = marginal_files
+    g = Grid1D(0.0, 1.0, 48)
+    x = g.centers
+    write_product_csv(tmp_path / "cost.csv", ProductDensity(g, g, (x[:, None] - x) ** 2))
+    pair = ["--mu", mu, "--nu", nu, "--quiet"]
+    plan = tmp_path / "plan.csv"
+    assert run(["solve", *pair, "--gamma", "0.2", "--plan", str(plan), "--out", str(tmp_path / "r.json")]) == 0
+    jobs = [
+        ["solve", "--gamma", "0.2", "--out", "solve.json"],
+        ["check-optimality", "--gamma", "0.2", "--plan", str(plan), "--out", "check.json"],
+        ["sweep-gamma", "--gammas", "1,0.2", "--out", "sweep.csv"],
+    ]
+    outputs = []
+    for cost in ("sqdist", f"file:{tmp_path / 'cost.csv'}"):
+        for command, *args in jobs:
+            assert run([command, *pair, "--cost", cost, *args, "--out-dir", str(tmp_path)]) == 0
+        outputs.append([(tmp_path / job[-1]).read_text() for job in jobs])
+    sqdist, table = outputs
+    assert table == sqdist
+
+
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        ("solve", "no convergence in 5 iterations (residual "),
+        ("sweep-gamma", "1 of 2 points failed"),
+        ("gamma-limit", "1 of 1 points failed"),
+        ("check-optimality", "largest marginal residual "),
+    ],
+)
+def test_every_exit_5_says_why_under_quiet(tmp_path, marginal_files, capsys, command, reason):
+    mu, nu = marginal_files
+    pair = ["--mu", mu, "--nu", nu]
+    plan = tmp_path / "plan.csv"
+    assert run(["solve", *pair, "--gamma", "0.2", "--plan", str(plan), "--out", str(tmp_path / "r.json"),
+                "--quiet"]) == 0
+    capsys.readouterr()
+    argv = {
+        "solve": [*pair, "--gamma", "0.001", "--max-iter", "5"],
+        "sweep-gamma": [*pair, "--gammas", "1,0.001", "--max-iter", "50"],
+        "gamma-limit": ["--mu", "atoms:0:1", "--nu", "atoms:1:1", "--schedule", "pairs:1e-300:0.1"],
+        "check-optimality": [*pair, "--gamma", "0.2", "--plan", str(plan), "--tol", "1e-30"],
+    }[command]
+    assert run([command, *argv, "--out", str(tmp_path / "out"), "--quiet"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {reason}")
+
+
 def test_sweep_gamma_csv(tmp_path, marginal_files):
     mu, nu = marginal_files
     out = tmp_path / "sweep.csv"
@@ -674,6 +767,9 @@ def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypa
         ("pairs:0:0.1", "gamma and delta must be positive and finite"),
         ("pairs:0.1:-0.1", "gamma and delta must be positive and finite"),
         ("power:coeff=1e300:exp=2:gammas=1e300", "delta = 1e+300 * gamma**2.0 overflows"),
+        ("power:coef=5:gammas=0.1", "bad part 'coef=5': a power schedule takes coeff=, exp=, gammas="),
+        ("coupled:c=0.5:gammas=0.1:bogus", "bad part 'bogus': a coupled schedule takes c=, gammas="),
+        ("coupled:gammas=0.1:c=0.5:gammas=0.2", "bad part 'gammas=0.2'"),
     ],
 )
 def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, capsys, schedule, reason):

@@ -194,3 +194,25 @@ def test_oplus_values():
     beta = GridFunction(g2, np.array([10.0, 20.0, 30.0]))
     table = oplus(alpha, beta)
     assert_allclose(table.values, [[11.0, 21.0, 31.0], [12.0, 22.0, 32.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-300])
+def test_luxemburg_norm_is_homogeneous_below_one(scale):
+    # the bisection's tolerance is relative, so a norm far below 1 keeps its digits
+    g = Grid1D(0.0, 1.0, 64)
+    vals = np.random.default_rng(3).random(64) + 0.1
+    for phi in (PHI_LOG, PHI_EXP):
+        base = luxemburg_norm(GridFunction(g, vals), phi)
+        scaled = luxemburg_norm(GridFunction(g, scale * vals), phi)
+        assert scaled.value == pytest.approx(scale * base.value, rel=1e-9, abs=0)
+        assert scaled.iterations <= 40
+
+
+@pytest.mark.parametrize("value", [1e-320, 5e-324])
+def test_luxemburg_norm_of_a_subnormal_function_stops_at_adjacent_doubles(value):
+    # pytest makes a RuntimeWarning an error, so no division by a zero midpoint leaks
+    g = Grid1D(0.0, 1.0, 64)
+    res = luxemburg_norm(GridFunction(g, np.full(64, value)), PHI_EXP)
+    lo, hi = res.bracket
+    assert lo <= value <= hi == np.nextafter(lo, 1.0)
+    assert res.iterations <= 40
