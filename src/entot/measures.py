@@ -4,6 +4,10 @@ Densities are sampled at cell centers and integrated by the midpoint rule,
 so every integral in this package is a weighted sum with scalar cell weight
 ``h`` (or ``h1*h2`` on product grids). The midpoint rule is exact on
 piecewise-constant data, which keeps the norm and entropy tests exact.
+
+Every table, on one grid or two, is a finite read-only float copy whose
+shape matches its grids, as the primal problem's densities of finite
+entropy need.
 """
 
 from __future__ import annotations
@@ -42,10 +46,14 @@ def _off_unit_mass(mass: float) -> bool:
     return not math.isfinite(mass) or abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass))
 
 
-def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+def _table(values, grids: Sequence[Grid1D], what: str) -> np.ndarray:
+    """A read-only float copy of ``values``, refused unless it is finite with one axis per grid."""
+    arr = np.array(values, dtype=float, copy=True)
+    shape = tuple(g.n for g in grids)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} does not match grids {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -122,15 +130,8 @@ class GridFunction:
     _what = "values"
 
     def __init__(self, grid: Grid1D, values) -> None:
-        vals = _frozen_array(values)
-        if vals.shape[0] != grid.n:
-            raise ValueError(
-                f"{self._what} has {vals.shape[0]} entries but the grid has {grid.n} cells"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{self._what} contains non-finite entries")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _table(values, (grid,), self._what))
 
     @property
     def weight(self) -> float:
@@ -183,21 +184,16 @@ class GridMeasure(GridFunction):
 
 @dataclass(frozen=True, eq=False)
 class ProductFunction:
-    """Signed function on the product of two grids, e.g. ``alpha_i + beta_j``; cell weight ``h1*h2``."""
+    """Finite, possibly signed function on two grids, e.g. ``alpha_i + beta_j``; weight ``h1*h2``."""
 
     grid1: Grid1D
     grid2: Grid1D
     values: np.ndarray
 
     def __init__(self, grid1: Grid1D, grid2: Grid1D, values) -> None:
-        vals = _frozen_array(values, ndim=2)
-        if vals.shape != (grid1.n, grid2.n):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grids ({grid1.n}, {grid2.n})"
-            )
         object.__setattr__(self, "grid1", grid1)
         object.__setattr__(self, "grid2", grid2)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _table(values, (grid1, grid2), "values"))
 
     @property
     def weight(self) -> float:

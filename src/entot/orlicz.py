@@ -12,12 +12,15 @@ evaluates its rule on |f|.
 
 The Luxemburg norm of f is inf{g > 0 : integral Phi(|f| / g) <= 1}. On a
 grid the integral is the midpoint sum, which is monotone nonincreasing in
-g, so bisection on g is sound.
+g, so bisection on g is sound. It stays within the doubles from 5e-324 to
+the largest one, so a nonzero f never has norm 0, and only a norm beyond
+the largest double is inf.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -80,21 +83,20 @@ class NormResult:
     iterations: int
 
 
-_BRACKET_CAP = 2000
-
-
 def luxemburg_norm(
     f: Union[GridFunction, ProductFunction], phi: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10
 ) -> NormResult:
     """Luxemburg norm inf{g > 0 : sum phi(|f_i| / g) * w <= 1} by bisection.
 
     The defining integral is nonincreasing in g. The bracket starts at
-    (0.5, 1); its ends double while the integral at the upper end is above
-    1, or halve while the integral at the lower end is at most 1, which
-    leaves a factor-2 bracket around the norm. Bisection then stops once
-    the bracket is narrower than ``tol`` times its midpoint, a relative
-    tolerance at every scale, or its ends are adjacent doubles. The zero
-    function short-circuits to 0.
+    (0.5, 1); its ends double, up to the largest double, while the integral
+    at the upper end is above 1, or halve while the integral at the lower
+    end is at most 1, which leaves a factor-2 bracket around the norm.
+    Bisection then stops once the bracket is narrower than ``tol`` times
+    its midpoint, a relative tolerance at every scale, and the norm is the
+    midpoint; or once its ends are adjacent doubles, and the norm is the
+    upper end, the least upper bound. The zero function short-circuits to
+    0, and a norm beyond the largest double is inf.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -108,29 +110,22 @@ def luxemburg_norm(
             return float(np.sum(phi(absvals / g)) * w)
 
     lo, hi = 0.5, 1.0
-    for _ in range(_BRACKET_CAP):
-        if integral(hi) <= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the Luxemburg norm from above")
-    for _ in range(_BRACKET_CAP):
-        if lo == 0.0 or integral(lo) > 1.0:
-            break
-        hi = lo
-        lo /= 2.0
-    else:
-        raise RuntimeError("failed to bracket the Luxemburg norm from below")
+    while integral(hi) > 1.0:
+        if hi == sys.float_info.max:
+            return NormResult(math.inf, (hi, math.inf), 0)
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
+    while lo > 0.0 and integral(lo) <= 1.0:
+        lo, hi = lo / 2.0, lo
 
     iterations = 0
-    while hi - lo > tol * 0.5 * (lo + hi) and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles, as around a subnormal norm
-            break
+    # halves before the sum, which keeps the midpoint of huge ends finite and
+    # is the same double as 0.5 * (lo + hi) in the normal range
+    mid = 0.5 * lo + 0.5 * hi
+    while hi - lo > tol * mid and lo < mid < hi:
         if integral(mid) <= 1.0:
             hi = mid
         else:
             lo = mid
         iterations += 1
-    return NormResult(0.5 * (lo + hi), (lo, hi), iterations)
+        mid = 0.5 * lo + 0.5 * hi
+    return NormResult(mid if lo < mid < hi else hi, (lo, hi), iterations)

@@ -191,8 +191,6 @@ class CostField(ProductFunction):
             super().__init__(grid1, grid2, values)
         except ValueError as exc:
             raise ParameterError(f"cost {exc}") from None
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("cost values must be finite")
         if np.any(self.values < 0):
             raise ParameterError("cost values must be nonnegative")
 
@@ -373,10 +371,12 @@ _ABSORB_AT = 30.0
 #: support block cells the dense kernel may hold: n = 8192 on both sides,
 #: 0.5 GB per array; larger blocks are refused unless the FFT kernel runs
 _DENSE_CELLS = 8192 * 8192
-#: hull block cells up to which the dense kernel is faster. One pass on 2
-#: CPUs with one BLAS thread: 18 us dense against 45 us FFT at 256 x 256,
-#: 78 against 37 us at 512 x 512 and 2.1 ms against 86 us at 2048 x 2048
-_FFT_MIN_CELLS = 512 * 512
+#: hull block cells up to which the dense kernel is faster. One a-pass of sqdist at
+#: gamma = 0.2 on 2 CPUs, one BLAS thread, dense / FFT in us (medians of 1000): 16 / 35
+#: at 256 x 256, 21 / 42 at 320, 29 / 42 at 384, 45 / 41 at 448 and 68 / 43 at 512; the
+#: FFT has length 1024 from 257 to 512 cells a side. 448 is a tie within the spread
+#: (61 / 66 on a loaded machine), and a tie goes to the dense kernel, the reference
+_FFT_MIN_CELLS = 448 * 448
 #: smallest kernel entry, relative to the largest, that the FFT kernel admits
 _FFT_MIN_RANGE = 1e-12
 #: largest round-off bound of an FFT pass, relative to its smallest denominator

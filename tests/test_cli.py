@@ -385,6 +385,48 @@ def test_check_optimality_rejects_measure_file_as_plan(marginal_files, capsys):
     assert "x,y,density" in capsys.readouterr().err
 
 
+def _write_table(path, g, values):
+    """Write ``values`` on g x g as an ``x,y,density`` CSV, non-finite entries included."""
+    xs = g.centers.tolist()
+    rows = [f"{x!r},{y!r},{v!r}" for x, row in zip(xs, values.tolist()) for y, v in zip(xs, row)]
+    path.write_text("\n".join(["x,y,density", *rows]) + "\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_stored_plan_that_is_not_finite_is_refused_at_validation(tmp_path, marginal_files, capsys, bad):
+    mu, nu = marginal_files
+    values = np.ones((48, 48))
+    values[5, 7] = bad
+    plan, out = tmp_path / "plan.csv", tmp_path / "check.json"
+    _write_table(plan, Grid1D(0.0, 1.0, 48), values)
+    code = run(["check-optimality", "--mu", mu, "--nu", nu, "--gamma", "0.2",
+                "--plan", str(plan), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --plan: values must be finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cost", ["sqdist", "file"])
+def test_a_plan_whose_marginals_overflow_fails_check_optimality(tmp_path, marginal_files, capsys, cost):
+    # pytest makes a RuntimeWarning an error, so the overflow must stay inside the check
+    mu, nu = marginal_files
+    g = Grid1D(0.0, 1.0, 48)
+    plan, out = tmp_path / "plan.csv", tmp_path / "check.json"
+    _write_table(plan, g, np.full((48, 48), 1e308))
+    if cost == "file":
+        _write_table(tmp_path / "cost.csv", g, np.full((48, 48), 1e308))
+        cost = f"file:{tmp_path / 'cost.csv'}"
+    code = run(["check-optimality", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--cost", cost,
+                "--plan", str(plan), "--out", str(out), "--quiet"])
+    assert code == 5
+    assert capsys.readouterr().err == "error: largest marginal residual inf exceeds --tol 1e-06\n"
+    payload = json.loads(out.read_text())
+    assert (payload["r1"], payload["r2"], payload["primal"], payload["within_tol"]) == (
+        None, None, None, False
+    )
+
+
 @pytest.mark.parametrize("command", ["entropy", "check-optimality", "solve"])
 def test_directory_as_input_file_is_parameter_error(tmp_path, marginal_files, capsys, command):
     mu, nu = marginal_files
@@ -897,6 +939,28 @@ def test_solve_sweep_and_gamma_limit_at_every_domain_scale(tmp_path, capsys, k):
     assert k > 0 or set(limits) == {0}
     # a delta the extension was made for is within its margin at every scale
     assert "extension margin" not in err
+
+
+@pytest.mark.parametrize("scale, gamma, mode, name", [
+    (1e154, 1e307, "log", "primal value is -inf"),
+    (1e154, 1e307, "direct", "primal value is -inf"),
+    (1e150, 1e299, "direct", "transport cost is inf"),
+])
+def test_a_converged_solve_outside_the_double_range_is_a_parameter_error(
+    tmp_path, capsys, scale, gamma, mode, name
+):
+    # the loop converges on cell masses, but the report's values leave the double range
+    g = Grid1D(0.0, scale, 100)
+    x = g.centers / scale
+    mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
+    write_measure_csv(mu, GridMeasure(g, 1.0 + 0.4 * np.sin(2 * np.pi * x), renormalize=True))
+    write_measure_csv(nu, GridMeasure(g, 1.0 + 0.4 * np.cos(2 * np.pi * x), renormalize=True))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--mu", str(mu), "--nu", str(nu), "--gamma", repr(gamma), "--mode", mode,
+            "--quiet", "--out", str(out)]
+    assert run(argv) == cli.EXIT_PARAM
+    assert capsys.readouterr().err == f"error: the solve's {name}, outside the floating-point range\n"
+    assert not out.exists()
 
 
 _EVERY_SUBCOMMAND = """

@@ -17,7 +17,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entot import cli
@@ -30,6 +30,8 @@ EXIT_CODES = {0, 2, 3, 4, 5, 6}
 NUMBERS = ["nan", "inf", "-1", "0", "-inf", "abc", "", "1e300", "1e-3", "0.5"]
 SMALL = ["nan", "inf", "0", "-0.1", "abc", "", "1e-3", "0.2", "0.1"]
 ATOMS = ["atoms:0:1", "atoms:1:1", "atoms:0.25:0.5,0.75:0.5"]
+#: 16 x 16 plans with one nan, one inf, and all densities 1e308, whose marginals overflow
+NONFINITE_PLANS = ["plan_nan.csv", "plan_inf.csv", "plan_big.csv"]
 
 
 def _list(pool, min_size=0):
@@ -76,9 +78,13 @@ WILD = {
          "atoms:0:-1", "empty.csv", "atoms:0:0.5", "missing.csv", "atoms:5:1", ".", "atoms:",
          "", "atoms:0:1:2", "0:1", "nu.csv", *ATOMS]
     ),
-    "input": st.sampled_from(["short.csv", "plan.csv", "empty.csv", "missing.csv", "."]),
-    "plan": st.sampled_from(["plan8.csv", "mu.csv", "nodir/p.csv", "missing.csv"]),
-    "cost": st.sampled_from(["file:mu.csv", "euclid", "file:missing.csv", ""]),
+    "input": st.sampled_from(
+        [*NONFINITE_PLANS, "short.csv", "plan.csv", "empty.csv", "missing.csv", "."]
+    ),
+    "plan": st.sampled_from([*NONFINITE_PLANS, "plan8.csv", "mu.csv", "nodir/p.csv", "missing.csv"]),
+    "cost": st.sampled_from(
+        ["file:cost_nan.csv", "file:plan_big.csv", "file:mu.csv", "euclid", "file:missing.csv", ""]
+    ),
     "gamma": st.sampled_from(NUMBERS),
     "gammas": _list(NUMBERS),
     "schedule": st.one_of(
@@ -193,12 +199,28 @@ def _input_files():
         for name in os.listdir(tmp):
             with open(os.path.join(tmp, name), "rb") as fh:
                 files[name] = fh.read()
+    # tables no constructor accepts, so written as text
+    plan = product_measure(mu, nu).values
+    files["plan_nan.csv"] = _table_text(x, plan, 3, np.nan)
+    files["plan_inf.csv"] = _table_text(x, plan, 40, np.inf)
+    files["plan_big.csv"] = _table_text(x, np.full((16, 16), 1e308))
+    files["cost_nan.csv"] = _table_text(x, (x[:, None] - x[None, :]) ** 2, 17, np.nan)
     files["short.csv"] = b"x,density\n0.25,1.0\n0.75\n"
     files["empty.csv"] = b"x,density\n"
     files["bad.json"] = b"{not json"
     files["list.json"] = b"[1]"
     files["latin1.json"] = b'{"mu": "\xe9"}'  # not UTF-8
     return files
+
+
+def _table_text(x, values, cell=0, value=None):
+    """The ``x,y,density`` CSV bytes of ``values`` on two grids with centers ``x``,
+    row-major, with flat cell ``cell`` set to ``value`` if that is given."""
+    values = values.tolist()
+    if value is not None:
+        values[cell // x.size][cell % x.size] = value
+    rows = [f"{a!r},{b!r},{v!r}" for a, row in zip(x.tolist(), values) for b, v in zip(x.tolist(), row)]
+    return ("\n".join(["x,y,density", *rows]) + "\n").encode()
 
 
 INPUTS = _input_files()
@@ -211,6 +233,12 @@ INPUTS = _input_files()
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(invocations())
+# the stored tables of NONFINITE_PLANS, as plan and cost, which the draws above do not reach
+@example((["check-optimality", "--mu=mu.csv", "--nu=nu.csv", "--gamma=0.1", "--plan=plan_nan.csv"], {}))
+@example((["check-optimality", "--mu=mu.csv", "--nu=nu.csv", "--gamma=0.1", "--plan=plan_inf.csv"], {}))
+@example((["check-optimality", "--mu=mu.csv", "--nu=nu.csv", "--gamma=0.1", "--plan=plan_big.csv"], {}))
+@example((["check-optimality", "--mu=mu.csv", "--nu=nu.csv", "--gamma=0.1", "--plan=plan_big.csv",
+           "--cost=file:plan_big.csv"], {}))
 def test_cli_exit_code_is_documented(invocation):
     argv, config = invocation
     cwd = os.getcwd()

@@ -216,3 +216,24 @@ def test_luxemburg_norm_of_a_subnormal_function_stops_at_adjacent_doubles(value)
     lo, hi = res.bracket
     assert lo <= value <= hi == np.nextafter(lo, 1.0)
     assert res.iterations <= 40
+
+
+@pytest.mark.parametrize("phi", [PHI_LOG, PHI_EXP])
+def test_luxemburg_norm_is_right_at_both_ends_of_the_double_range(phi):
+    g = Grid1D(0.0, 1.0, 4)
+
+    def integral(f, t):
+        return float(np.sum(phi(np.abs(f.values) / t)) * f.weight)
+
+    tiny = luxemburg_norm(GridFunction(g, np.full(4, 5e-324)), phi)
+    lo, hi = tiny.bracket
+    assert 0.0 < tiny.value and lo <= tiny.value <= hi
+    # the midpoint of 1.7e308's bracket and the doubling past 2**1023 overflow unless kept in range
+    f = GridFunction(g, np.full(4, 1.7e308))
+    huge = luxemburg_norm(f, phi)
+    lo, hi = huge.bracket
+    assert np.isfinite(huge.value) and lo <= huge.value <= hi
+    assert integral(f, hi) <= 1.0 < integral(f, lo)
+    if phi is PHI_EXP:  # phi(s) = s below 1, so the norm of 1e308 on a length of 1e300 is 1e608
+        wide = luxemburg_norm(GridFunction(Grid1D(0.0, 1e300, 4), np.full(4, 1e308)), phi)
+        assert wide.value == np.inf

@@ -503,6 +503,36 @@ def test_failed_fft_pass_restarts_the_solve_on_the_dense_kernel(monkeypatch):
         assert np.array_equal(res.plan.values, ref.plan.values)
 
 
+def test_a_corrupted_fft_pass_restarts_the_solve_on_the_dense_kernel(monkeypatch):
+    import dataclasses
+
+    from entot.solver import _ToeplitzKernel
+
+    init = _ToeplitzKernel.__init__
+
+    def corrupted(self, *args):
+        # a negated spectrum makes every a-pass denominator negative
+        init(self, *args)
+        spectrum, into, read = self._a
+        self._a = (-spectrum, into, read)
+
+    monkeypatch.setattr(_ToeplitzKernel, "__init__", corrupted)
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0)
+    mu, nu = shifted_pair(64, seed=6, holes=True)
+    table = cost_field(mu.grid, nu.grid, "sqdist")
+    for run in (solve, solve_logdomain):
+        res = run(mu, nu, "sqdist", 0.2)
+        ref = run(mu, nu, table, 0.2)
+        assert res.report.kernel == "dense"
+        assert res.report.kernel_reason == (
+            "FFT kernel abandoned at the a-pass of iteration 1: a denominator is not finite and positive"
+        )
+        assert dataclasses.replace(res.report, kernel_reason="") == dataclasses.replace(
+            ref.report, kernel_reason=""
+        )
+        assert np.array_equal(res.plan.values, ref.plan.values)
+
+
 def test_fft_round_off_check_trips_on_a_wide_kernel_range(monkeypatch):
     import dataclasses
 
