@@ -38,14 +38,13 @@ value and default, and the checks are all built from these two tables. So
 is the reading of each value, once, into what the handler uses: a float
 list for --gammas, (gamma, delta) pairs for --schedule, a (lo, hi) pair for
 --domain, an ``AtomicMeasure`` for gamma-limit's --mu and --nu, a
-``GridMeasure`` for the other commands' --mu, --nu and --input, a
-``CostField`` for --cost file:PATH and a ``ProductDensity`` for
-check-optimality's --plan. So input files are read while the options are
-checked, and a missing, unreadable or malformed file is reported under its
-flag with every other violation; the handlers check only that the files
-agree with each other. The solve JSON holds every field of the
-``SolveReport``, and JSON outputs write a float outside the double range,
-or NaN, as null.
+``GridMeasure`` for the other commands' --mu, --nu and --input, and a
+``ProductDensity`` for --cost file:PATH and check-optimality's --plan.
+So input files are read while the options are checked, and a missing,
+unreadable or malformed file is reported under its flag with every other
+violation; the handlers check only that the files agree with each other.
+The solve JSON holds every field of the ``SolveReport``, and JSON outputs
+write a float outside the double range, or NaN, as null.
 """
 
 from __future__ import annotations
@@ -192,11 +191,10 @@ def _plan_file(path: str) -> measures.ProductDensity:
     return measures.read_product_csv(path)
 
 
-def _cost(cost: str) -> Union[solver.CostField, str]:
+def _cost(cost: str) -> Union[measures.ProductDensity, str]:
     """A rule name as it is, or the table of ``file:PATH`` on the table's own grids."""
     if cost.startswith("file:"):
-        table = measures.read_product_csv(cost[5:])
-        return solver.CostField(table.grid1, table.grid2, table.values)
+        return measures.read_product_csv(cost[5:])
     return _convex_cost_rule(cost, f"{_RULE_NAMES} | file:PATH")
 
 
@@ -503,14 +501,12 @@ def _sweep_exit(statuses: List[str]) -> int:
 
 
 def _load_problem(o: Dict[str, object]) -> Tuple[
-    measures.GridMeasure, measures.GridMeasure, Union[solver.CostField, str]
+    measures.GridMeasure, measures.GridMeasure, Union[measures.ProductDensity, str]
 ]:
     """--mu, --nu and --cost: a cost table matched to their grids, or a rule name as it is,
     to be evaluated on the supports only."""
     mu, nu, cost = o["mu"], o["nu"], o["cost"]
-    if o.get("plan") is not None:  # solve --plan: refuse an oversized plan before solving
-        solver._check_plan_cells(mu.grid.n, nu.grid.n)
-    if isinstance(cost, solver.CostField):
+    if isinstance(cost, measures.ProductDensity):
         _match_grids("cost", cost, mu, nu)
     return mu, nu, cost
 
@@ -518,6 +514,8 @@ def _load_problem(o: Dict[str, object]) -> Tuple[
 def _cmd_solve(cfg: ExperimentConfig) -> int:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
+    if o["plan"] is not None:  # refuse an oversized plan before solving
+        solver._check_plan_cells(mu.grid.n, nu.grid.n)
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
     failure = None
     try:
@@ -572,7 +570,11 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
 def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     o = cfg.options
     schedule = o["schedule"]
-    ext = gl.ExtendedDomain.extend(measures.Grid1D(*o["domain"], o["n"]), max(d for _, d in schedule))
+    try:
+        grid = measures.Grid1D(*o["domain"], o["n"])
+    except ValueError as exc:
+        raise CliError(EXIT_PARAM, f"--domain: {exc}") from None
+    ext = gl.ExtendedDomain.extend(grid, max(d for _, d in schedule))
     points = gl.gamma_sweep(
         o["mu"], o["nu"], o["cost"], schedule, ext, tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"]
     )
@@ -618,11 +620,10 @@ def _cmd_entropy(cfg: ExperimentConfig) -> int:
 
 def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     o = cfg.options
-    mu, nu, plan, cost = o["mu"], o["nu"], o["plan"], o["cost"]
-    _match_grids("plan", plan, mu, nu)
-    if isinstance(cost, solver.CostField):
-        _match_grids("cost", cost, mu, nu)
-    else:
+    plan = o["plan"]
+    _match_grids("plan", plan, o["mu"], o["nu"])
+    mu, nu, cost = _load_problem(o)
+    if isinstance(cost, str):
         cost = solver.cost_field(plan.grid1, plan.grid2, cost)
     # a finite plan's marginals and objective can overflow; they are then inf and fail --tol
     with np.errstate(over="ignore"):

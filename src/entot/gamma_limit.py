@@ -117,7 +117,13 @@ class ExtendedDomain:
                 f"extending {original.n} cells by {margin!r} on each side asks for "
                 f"{shown} cells, above the budget of {_EXTENDED_CELLS}"
             )
-        extended = Grid1D(original.lo - k * h, original.hi + k * h, cells)
+        try:
+            extended = Grid1D(original.lo - k * h, original.hi + k * h, cells)
+        except ValueError:
+            raise ParameterError(
+                f"extending [{original.lo!r}, {original.hi!r}] by {margin!r} on each side "
+                "overflows the floating-point range"
+            ) from None
         return cls(original, extended, k)
 
     @property

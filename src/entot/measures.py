@@ -82,6 +82,11 @@ class Grid1D:
             raise ValueError(f"cell count must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "h", (self.hi - self.lo) / self.n)
+        if not 0 < self.h < math.inf:  # hi - lo can overflow, and (hi - lo) / n underflow
+            raise ValueError(
+                f"cell width {self.h!r} of {self.n} cells on [{self.lo!r}, {self.hi!r}] "
+                "is not positive and finite"
+            )
 
     def window(self, first: int, stop: int) -> "Grid1D":
         """Cells ``first`` to ``stop - 1`` as a grid of their own, with this grid's ``h`` bit for bit.
@@ -206,7 +211,7 @@ class ProductDensity(ProductFunction):
     def __init__(self, grid1: Grid1D, grid2: Grid1D, values) -> None:
         super().__init__(grid1, grid2, values)
         if np.any(self.values < 0):
-            raise ValueError("product density values must be nonnegative")
+            raise ValueError("values must be nonnegative")
 
     @property
     def mass(self) -> float:

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .measures import Grid1D, GridMeasure, ProductDensity, ProductFunction, _off_unit_mass
+from .measures import Grid1D, GridMeasure, ProductDensity, _off_unit_mass
 
 __all__ = [
     "CostField",
@@ -62,7 +62,6 @@ __all__ = [
     "Potentials",
     "SolveReport",
     "SolveResult",
-    "TransportPlan",
     "SolverError",
     "ParameterError",
     "DivergedScalingError",
@@ -79,10 +78,6 @@ __all__ = [
     "optimality_residual",
     "potentials_from_state",
 ]
-
-#: the transport plan is just a nonnegative density on the product grid
-TransportPlan = ProductDensity
-
 
 class SolverError(Exception):
     """Base class for solver failures."""
@@ -132,7 +127,7 @@ class ConvergenceError(SolverError):
 
 
 def sweep_point(
-    mu: GridMeasure, nu: GridMeasure, c: Union[CostField, str], gamma: float, tol: float,
+    mu: GridMeasure, nu: GridMeasure, c: Union[ProductDensity, str], gamma: float, tol: float,
     max_iter: int, mode: str, beta0: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[SolveReport], str, Optional[np.ndarray]]:
     """Solve one sweep point in ``mode`` by the sweeps' one policy; return report, status, potential.
@@ -183,16 +178,14 @@ def _rule(name: str) -> Callable:
     return COST_RULES[name]
 
 
-class CostField(ProductFunction):
-    """Finite, nonnegative cost values c(x_i, y_j) on a product grid; refusals are ParameterErrors."""
+class CostField(ProductDensity):
+    """A cost table c(x_i, y_j): a ProductDensity whose refusals are ParameterErrors."""
 
     def __init__(self, grid1: Grid1D, grid2: Grid1D, values):
         try:
             super().__init__(grid1, grid2, values)
         except ValueError as exc:
             raise ParameterError(f"cost {exc}") from None
-        if np.any(self.values < 0):
-            raise ParameterError("cost values must be nonnegative")
 
 
 def cost_field(grid1: Grid1D, grid2: Grid1D, rule: str) -> CostField:
@@ -221,7 +214,7 @@ class GibbsKernel:
     log_values: np.ndarray
 
 
-def gibbs_kernel(c: CostField, gamma: float) -> GibbsKernel:
+def gibbs_kernel(c: ProductDensity, gamma: float) -> GibbsKernel:
     """Build the Gibbs kernel of a cost table; gamma must be positive."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
@@ -325,7 +318,7 @@ class SolveResult:
             return DualState(np.exp(log_a), np.exp(log_b), log_a, log_b)
 
     @cached_property
-    def plan(self) -> TransportPlan:
+    def plan(self) -> ProductDensity:
         smask, tmask = self._masks
         _check_plan_cells(smask.size, tmask.size)
         log_a, log_b = self._log_ab
@@ -335,12 +328,13 @@ class SolveResult:
             block += log_a[:, None]
             block += log_b
             np.exp(block, out=block)
-        if not np.isfinite(block).all():
-            raise ParameterError("the plan's densities leave the floating-point range")
         if not (smask.all() and tmask.all()):
             values = np.zeros((smask.size, tmask.size))
             values[np.ix_(smask, tmask)] = block
-        return ProductDensity(*self._grids, values)
+        try:
+            return ProductDensity(*self._grids, values)
+        except ValueError:  # exponentials of the right shape: only a non-finite one is refused
+            raise ParameterError("the plan's densities leave the floating-point range") from None
 
     @cached_property
     def potentials(self) -> Potentials:
@@ -568,7 +562,7 @@ class _ToeplitzKernel:
 def _cost_block(c, grids, masks) -> np.ndarray:
     """The cost table or rule ``c`` on the product of the supports that ``masks`` mark."""
     smask, tmask = masks
-    if isinstance(c, CostField):
+    if isinstance(c, ProductDensity):
         return c.values if smask.all() and tmask.all() else c.values[np.ix_(smask, tmask)]
     x, y = (g.cell_centers(np.flatnonzero(m)) for g, m in zip(grids, masks))
     return _rule(c)(x[:, None], y[None, :])
@@ -613,7 +607,7 @@ def _scale(kernel, p, q, tol, max_iter, log_b):
 def _solve(
     mu: GridMeasure,
     nu: GridMeasure,
-    c: Union[CostField, str],
+    c: Union[ProductDensity, str],
     gamma: float,
     tol: float,
     max_iter: int,
@@ -640,7 +634,7 @@ def _solve(
         raise ParameterError(f"gamma must be positive, got {gamma}")
     smask = mu.density > 0
     tmask = nu.density > 0
-    if isinstance(c, CostField):
+    if isinstance(c, ProductDensity):
         if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
             raise ParameterError("marginals and cost table live on different grids")
     else:
@@ -725,7 +719,7 @@ def _solve(
 def solve(
     mu: GridMeasure,
     nu: GridMeasure,
-    c: Union[CostField, str],
+    c: Union[ProductDensity, str],
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
@@ -738,7 +732,7 @@ def solve(
     ----------
     mu, nu : GridMeasure
         Probability marginals (mass 1 within ``MASS_TOL``).
-    c : CostField or str
+    c : ProductDensity or str
         Nonnegative cost table on the product of the marginals' grids, or
         the name of a rule in :data:`COST_RULES`, evaluated on the
         supports of the marginals only.
@@ -780,7 +774,7 @@ def solve(
 def solve_logdomain(
     mu: GridMeasure,
     nu: GridMeasure,
-    c: Union[CostField, str],
+    c: Union[ProductDensity, str],
     gamma: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
@@ -799,7 +793,7 @@ def solve_logdomain(
     return _solve(mu, nu, c, gamma, tol, max_iter, "log", beta0)
 
 
-def primal_value(plan: TransportPlan, c: CostField, gamma: float) -> float:
+def primal_value(plan: ProductDensity, c: ProductDensity, gamma: float) -> float:
     """Transport cost plus gamma-weighted neg-entropy of the plan.
 
     Computes sum c pi w + gamma sum pi (log pi - 1) w with the convention

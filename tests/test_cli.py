@@ -687,6 +687,8 @@ def test_config_bad_json_is_parameter_error(tmp_path):
         ("solve", {"cost": ["sqdist"]}, "--cost"),
         ("solve", {"gamma": True}, "--gamma"),
         ("solve", {"quiet": "no"}, "--quiet"),
+        ("sweep-gamma", {"gammas": [True]}, "--gammas"),
+        ("solve", {"gamma": 10**400}, "--gamma"),
     ],
 )
 def test_config_value_of_wrong_type_is_parameter_error(
@@ -812,6 +814,7 @@ def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypa
         ("power:coef=5:gammas=0.1", "bad part 'coef=5': a power schedule takes coeff=, exp=, gammas="),
         ("coupled:c=0.5:gammas=0.1:bogus", "bad part 'bogus': a coupled schedule takes c=, gammas="),
         ("coupled:gammas=0.1:c=0.5:gammas=0.2", "bad part 'gammas=0.2'"),
+        ("coupled:c=1", "a coupled schedule needs gammas="),
     ],
 )
 def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, capsys, schedule, reason):
@@ -821,6 +824,30 @@ def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, caps
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "--n: " in err and f"--schedule: {reason}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "domain, n, schedule, reason",
+    [
+        ("-1.7e308:1.7e308", "4", "pairs:0.1:0.1",
+         "--domain: cell width inf of 4 cells on [-1.7e+308, 1.7e+308] is not positive and finite"),
+        ("0:5e-324", "2", "pairs:0.1:1e-323",
+         "--domain: cell width 0.0 of 2 cells on [0.0, 5e-324] is not positive and finite"),
+        ("-8e307:8e307", "4", "pairs:0.1:1e308",
+         "extending [-8e+307, 8e+307] by 1e+308 on each side overflows the floating-point range"),
+        ("0:1:2", "4", "pairs:0.1:0.1", "--domain: expected lo:hi, got '0:1:2'"),
+        ("1:0", "4", "pairs:0.1:0.1", "--domain: domain needs hi > lo, got '1:0'"),
+    ],
+    ids=["wide-cell", "zero-cell", "extension-overflow", "three-parts", "reversed"],
+)
+def test_gamma_limit_refuses_a_domain_it_cannot_grid(tmp_path, capsys, domain, n, schedule, reason):
+    """A cell width or an extended end outside the double range is one error line, exit 3."""
+    out = tmp_path / "gl.csv"
+    argv = ["gamma-limit", "--mu", "atoms:0:1", "--nu", "atoms:1:1", f"--domain={domain}",
+            "--n", n, "--schedule", schedule, "--out", str(out)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: {reason}\n"
     assert not out.exists()
 
 

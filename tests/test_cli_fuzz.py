@@ -17,6 +17,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +93,11 @@ WILD = {
                    ["-2000", "0.5", "nan", "2"]),
         st.sampled_from(["geometric:0.5", "", "coupled", "pairs:0.1", "power:gammas=0.1:coeff=x"]),
     ),
-    "domain": st.sampled_from(["0:nan", "nan:1", "0:inf", "1:0", "0", "a:b", "0:1:2", "", "0:0.5"]),
+    # the first two give cells of width inf and 0.0 at every --n of GOOD
+    "domain": st.sampled_from(
+        ["-1.7e308:1.7e308", "0:5e-324", "0:nan", "nan:1", "0:inf", "1:0", "0", "a:b", "0:1:2", "",
+         "0:0.5"]
+    ),
     "n": st.sampled_from(["0", "512", "1", "-1", "2", "2.5", "x"]),
     "tol": st.sampled_from(NUMBERS),
     "max_iter": st.sampled_from(["0", "1", "-1", "x"]),
@@ -125,19 +130,28 @@ JSON_JUNK = st.one_of(
 )
 
 
+def _keys(command):
+    """The options of ``command``, --config first."""
+    return ["config", *cli._SHARED, *cli._COMMANDS[command].defaults]
+
+
 @st.composite
-def invocations(draw):
+def invocations(draw, command=None, wild_key=None):
     """(argv, config dict) for one subcommand, drawn from the option table.
 
     One or two options, --config among them, are wild: left out, or given
     a bad flag text or config value. Every other option gets a value a run
     can succeed with, as a flag, in the config file or both, or is left to
-    its default.
+    its default. ``command`` fixes the subcommand, and ``wild_key`` one of
+    the wild options.
     """
-    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    if command is None:
+        command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     defaults = {**cli._SHARED, **cli._COMMANDS[command].defaults}
-    keys = ["config", *defaults]
-    wild = {draw(st.sampled_from(keys))} | draw(st.sets(st.sampled_from(keys), max_size=1))
+    keys = _keys(command)
+    if wild_key is None:
+        wild_key = draw(st.sampled_from(keys))
+    wild = {wild_key} | draw(st.sets(st.sampled_from(keys), max_size=1))
     argv, config = [command], {}
     for key, default in defaults.items():
         opt = cli._OPTIONS[key]
@@ -241,6 +255,29 @@ INPUTS = _input_files()
            "--cost=file:plan_big.csv"], {}))
 def test_cli_exit_code_is_documented(invocation):
     argv, config = invocation
+    code = _exit_code(argv, config)
+    assert code in EXIT_CODES, (argv, config, code)
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command in sorted(cli._COMMANDS) for key in _keys(command)]
+)
+@settings(
+    max_examples=5,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_option_of_every_subcommand_exits_with_a_documented_code(command, key, data):
+    """The draws of the test above, with option ``key`` of ``command`` always wild."""
+    argv, config = data.draw(invocations(command, key))
+    code = _exit_code(argv, config)
+    assert code in EXIT_CODES, (argv, config, code)
+
+
+def _exit_code(argv, config):
+    """The exit code of ``cli.main(argv)`` in a fresh directory of INPUTS and cfg.json of ``config``."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in INPUTS.items():
@@ -256,7 +293,7 @@ def test_cli_exit_code_is_documented(invocation):
             code = exc.code
         finally:
             os.chdir(cwd)
-    assert code in EXIT_CODES, (argv, config, code)
+    return code
 
 
 def test_oversized_dense_block_exits_3_before_allocating(tmp_path):

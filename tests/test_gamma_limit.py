@@ -335,6 +335,14 @@ def test_schedule_constructors():
     assert got == [(0.5, pytest.approx(0.1))]
 
 
+def test_a_zero_coefficient_or_an_empty_schedule_is_refused():
+    with pytest.raises(ParameterError, match="schedule coefficient must be positive, got 0"):
+        power_schedule([0.1], coeff=0)
+    mu, nu = AtomicMeasure([(0.0, 1.0)]), AtomicMeasure([(1.0, 1.0)])
+    with pytest.raises(ParameterError, match="at least one"):
+        gamma_sweep(mu, nu, "sqdist", [], extended(n=64))
+
+
 def simple_sweep(schedule, n=256, **kw):
     mu = AtomicMeasure([(0.0, 1.0)])
     nu = AtomicMeasure([(1.0, 1.0)])

@@ -203,6 +203,37 @@ def test_product_csv_rejects_scrambled_rows(tmp_path):
         read_product_csv(path)
 
 
+def _csv(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda tmp: Grid1D(0.0, np.inf, 4), "grid endpoints must be finite"),
+        (lambda tmp: Grid1D(-1.7e308, 1.7e308, 4), "cell width inf of 4 cells"),
+        (lambda tmp: Grid1D(0.0, 5e-324, 2), "cell width 0.0 of 2 cells"),
+        (lambda tmp: GridMeasure(Grid1D(0.0, 1.0, 4), np.zeros(4), renormalize=True),
+         "cannot renormalize a measure with zero mass"),
+        (lambda tmp: AtomicMeasure([]), "needs at least one atom"),
+        (lambda tmp: read_measure_csv(_csv(tmp, "x,density\n0.5,1.0\n")),
+         "cannot infer cell width from a single center"),
+        (lambda tmp: read_measure_csv(_csv(tmp, "x,density\n0.1,1\n0.2,1\n0.5,1\n")),
+         "cell centers are not uniformly spaced"),
+        (lambda tmp: read_product_csv(_csv(tmp, "x,y,density\n")), r"t\.csv: no rows"),
+        (lambda tmp: read_product_csv(_csv(tmp, "x,y,density\n0.25,0.25,1\n0.25,0.75,1\n0.75,0.25,1\n")),
+         "row count 3 is not a multiple of 2 distinct y values"),
+    ],
+    ids=["grid-end", "wide-cell", "zero-cell", "zero-mass", "no-atom", "one-center", "uneven-centers",
+         "no-product-rows", "ragged-rows"],
+)
+def test_every_refusal_of_a_grid_measure_or_table_says_why(tmp_path, make, match):
+    with pytest.raises(ValueError, match=match):
+        make(tmp_path)
+
+
 def test_product_csv_read_peaks_under_ten_times_its_array(tmp_path):
     g = Grid1D(0.0, 1.0, 256)
     path = tmp_path / "plan.csv"

@@ -104,6 +104,13 @@ def test_solve_requires_probability_and_valid_opts():
         solve(ok, nu, cost_field(unit_grid(9), g, "sqdist"), 1.0)
 
 
+def test_solve_refuses_a_zero_gamma():
+    g = unit_grid(8)
+    m = GridMeasure(g, np.ones(8))
+    with pytest.raises(ParameterError, match="gamma must be positive, got 0.0"):
+        solve(m, m, "sqdist", 0.0)
+
+
 def test_solve_matches_marginals_and_closes_gap():
     mu, nu, c = smooth_pair(seed=1)
     res = solve_logdomain(mu, nu, c, 0.3, tol=1e-11)
