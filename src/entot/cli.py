@@ -11,7 +11,11 @@ check-optimality recompute marginal residuals and objective of a stored plan
 
 A JSON config file (flat keys named after the long flags, underscores for
 dashes) may supply any option; explicit flags win and the origin of every
-value is recorded under "provenance" in JSON outputs. A config value must
+value is recorded under "provenance" in JSON outputs. A key that names no
+option of any subcommand is an invalid parameter; a key of another
+subcommand's option is ignored, so one file can serve several commands.
+A config file that is missing, unreadable, not JSON or not an object is
+reported alone. A config value must
 have the option's JSON type: a number for --gamma and --tol, an integer
 for --n, --max-iter and --threads, true or false for --quiet, a list of
 numbers or a string for --gammas, and a string otherwise. Booleans are not
@@ -19,17 +23,19 @@ numbers. A string given for a numeric option is read as the flag's text,
 and null is accepted only for an option that is unset by default, such as
 solve's --plan. Any other value is an invalid parameter. So are a
 non-finite --gamma, --gammas value or --tol, an empty output path (--out,
-and solve's --plan), a cost file or stored plan whose grids are not
-those of --mu and --nu, and a density whose neg-entropy overflows.
+and solve's --plan), a solve --plan that names the file of --out, a cost
+file or stored plan whose grids are not those of --mu and --nu, and a
+density whose neg-entropy overflows.
 --threads is checked and ignored: the sweeps solve their points in order,
 a point that does not converge or overflows is a failed row (exit 5), and
 an invalid parameter at any point exits 3 and writes nothing. Outputs are
 written atomically (all files appear, or none). Exit codes: 0 success, 2
 usage, 3 invalid parameter or an input that exists but cannot be read, 4
 missing input file, 5 computation failed or did not converge, 6 output
-write failure. Exit 4 needs every violation to be a missing file. Every
-nonzero exit prints its reason on stderr as an "error:" line, also under
---quiet.
+write failure. Violations are listed in option order, and exit 4 needs
+every violation to be a missing file. Every nonzero exit prints its
+reason on stderr as an "error:" line, also under --quiet: the handlers
+raise, and only ``main`` maps an outcome to its exit code.
 
 Each option is declared once, in ``_OPTIONS`` (type, choices, help and
 reader), and each subcommand once, in ``_COMMANDS`` (help, handler and the
@@ -73,12 +79,6 @@ EXIT_WRITE = 6
 # "solver" names the solver's extended rule, +inf below 0 and the exp rule
 # above; a norm only evaluates its rule on |f|, so that rule is PHI_EXP there.
 _YOUNG = {"log": orlicz.PHI_LOG, "exp": orlicz.PHI_EXP, "solver": orlicz.PHI_EXP}
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
 
 
 @dataclass
@@ -322,73 +322,63 @@ def _from_config(key: str, value: object, nullable: bool) -> object:
         except (ValueError, OverflowError):  # float() of an integer past 1e308
             ok = False
     if not ok:
-        raise ValueError(f"must be {name}, got {json.dumps(value)}")
+        raise ValueError(f"config value must be {name}, got {json.dumps(value)}")
     if opt.choices and value not in opt.choices:
-        raise ValueError(f"must be one of {', '.join(opt.choices)}, got {value!r}")
+        raise ValueError(f"config value must be one of {', '.join(opt.choices)}, got {value!r}")
     return value
 
 
 def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str, str]]]:
-    """Merge flags, config file, and defaults; collect every violation.
+    """Merge flags, config file and defaults, and read each option; collect every violation.
 
-    Returns the merged configuration and a list of (kind, message)
-    violations, kind being "param" or "missing"; an empty list means
-    the configuration is valid.
+    Returns the configuration, each option read into the value its handler
+    uses, and the (kind, message) violations in option order, kind being
+    "param" or "missing"; an empty list means the configuration is valid.
+    A config file that cannot be used is the only violation.
     """
     args = _build_parser().parse_args(argv)
-    command = args.command
-    file_values: Dict[str, object] = {}
-    if args.config is not None:
-        if not os.path.exists(args.config):
-            raise CliError(EXIT_MISSING_FILE, f"config file not found: {args.config}")
+    command, path, file_values = args.command, args.config, {}
+    violations: List[Tuple[str, str]] = []
+    if path is not None and not os.path.exists(path):
+        violations.append(("missing", f"config file not found: {path}"))
+    elif path is not None:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 file_values = json.load(fh)
+            if not isinstance(file_values, dict):
+                raise ValueError("expected a JSON object")
         except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer
-            raise CliError(EXIT_PARAM, f"config file {args.config}: {exc}")
-        if not isinstance(file_values, dict):
-            raise CliError(EXIT_PARAM, f"config file {args.config}: expected a JSON object")
+            violations.append(("param", f"config file {path}: {exc}"))
+    if violations:
+        return ExperimentConfig(command, {}, {}), violations
+    # a key of another subcommand's option is no error, so that one file serves several commands
+    for key in file_values:
+        if key not in _OPTIONS:
+            violations.append(("param", f"config file {path}: unknown option {key!r}"))
 
+    spec = _COMMANDS[command]
     options: Dict[str, object] = {}
     provenance: Dict[str, str] = {}
-    violations: List[Tuple[str, str]] = []
-    for key, default in {**_SHARED, **_COMMANDS[command].defaults}.items():
+    for key, default in {**_SHARED, **spec.defaults}.items():
         value, origin = getattr(args, key), "flag"
-        if value is None and key in file_values:
-            origin = "config"
-            try:
-                value = _from_config(key, file_values[key], nullable=default is None)
-            except ValueError as exc:
-                violations.append(("param", f"{_flag(key)}: config value {exc}"))
-        elif value is None:
-            value, origin = default, "default"
+        if value is None:
+            value, origin = (file_values[key], "config") if key in file_values else (default, "default")
+        read = spec.readers.get(key, _OPTIONS[key].read)
+        try:
+            if origin == "config":
+                value = _from_config(key, value, nullable=default is None)
             if value is _REQUIRED:
                 violations.append(("param", f"{_flag(key)} is required"))
-                value = None
-        options[key] = value
-        provenance[key] = origin
-
-    violations += _validate(command, options)
-    return ExperimentConfig(command, options, provenance), violations
-
-
-def _validate(command: str, o: Dict[str, object]) -> List[Tuple[str, str]]:
-    """Read each set option into ``o`` in place; return (kind, message) pairs,
-    kind being "param" or "missing", for the options that cannot be read."""
-    v: List[Tuple[str, str]] = []
-    for key, value in o.items():
-        read = _COMMANDS[command].readers.get(key, _OPTIONS[key].read)
-        if value is None or read is None:
-            continue
-        try:
-            o[key] = read(value)
+            elif value is not None and read is not None:
+                value = read(value)
         except FileNotFoundError as exc:
-            v.append(("missing", f"{_flag(key)}: file not found: {exc.filename}"))
+            violations.append(("missing", f"{_flag(key)}: file not found: {exc.filename}"))
         except OSError as exc:  # such as a directory given as the file
-            v.append(("param", f"{_flag(key)}: cannot read {exc.filename}: {exc.strerror or exc}"))
+            violations.append(("param", f"{_flag(key)}: cannot read {exc.filename}: {exc.strerror or exc}"))
         except (ValueError, ArithmeticError) as exc:  # such as gamma**exp overflowing
-            v.append(("param", f"{_flag(key)}: {exc}"))
-    return v
+            violations.append(("param", f"{_flag(key)}: {exc}"))
+        options[key], provenance[key] = value, origin
+    return ExperimentConfig(command, options, provenance), violations
 
 
 def _json_ready(obj):
@@ -406,14 +396,16 @@ def _json_text(obj) -> str:
     return json.dumps(_json_ready(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(o: Dict[str, object], texts: Dict[str, str]) -> None:
-    """Write each text to the path of the option it is keyed by, if that is set,
-    a relative path under --out-dir; all files appear or none."""
+def _destination(o: Dict[str, object], key: str) -> str:
+    """The path output option ``key`` writes to: its own if absolute, else under --out-dir."""
     # os.path.join keeps an absolute path as it is
-    emit_files({
-        os.path.join(o["out_dir"] or "", o[key]): text
-        for key, text in texts.items() if o[key] is not None
-    })
+    return os.path.join(o["out_dir"] or "", o[key])
+
+
+def _emit(o: Dict[str, object], texts: Dict[str, str]) -> None:
+    """Write each text to the path of the option it is keyed by, if that is set;
+    all files appear or none."""
+    emit_files({_destination(o, key): text for key, text in texts.items() if o[key] is not None})
 
 
 def emit_files(outputs: Dict[str, str]) -> None:
@@ -430,12 +422,12 @@ def emit_files(outputs: Dict[str, str]) -> None:
     try:
         for path, text in outputs.items():
             if os.path.isdir(path):
-                raise CliError(EXIT_WRITE, f"cannot write to {path}: is a directory")
+                raise OSError(f"cannot write to {path}: is a directory")
             directory = os.path.dirname(path) or "."
             try:
                 fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entot-", suffix=".tmp")
             except OSError as exc:
-                raise CliError(EXIT_WRITE, f"cannot write to {path}: {exc}")
+                raise OSError(f"cannot write to {path}: {exc}")
             staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -466,14 +458,13 @@ def emit_files(outputs: Dict[str, str]) -> None:
 
 
 def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
-    """Exit 3 unless the grids of the table of option ``what`` are those of --mu and --nu."""
+    """Refuse the table of option ``what`` unless its grids are those of --mu and --nu."""
     for key, grid, m in (("mu", table.grid1, mu), ("nu", table.grid2, nu)):
         # the grids are rebuilt from printed centers, so match them to a fraction of a cell
         if grid.n != m.grid.n or not np.allclose(
             grid.centers, m.grid.centers, rtol=0, atol=1e-6 * m.grid.h
         ):
-            raise CliError(
-                EXIT_PARAM,
+            raise solver.ParameterError(
                 f"{_flag(what)}: {what} grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) "
                 f"does not match --{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",
             )
@@ -488,18 +479,6 @@ def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict
     return {**{_JSON_NAMES.get(k, k): v for k, v in vars(report).items()}, "provenance": provenance}
 
 
-def _failed(reason: str) -> int:
-    """Exit 5, with ``reason`` on stderr."""
-    print(f"error: {reason}", file=sys.stderr)
-    return EXIT_FAILED
-
-
-def _sweep_exit(statuses: List[str]) -> int:
-    """Exit 0 if every point of a sweep is ok, else 5, saying how many failed."""
-    failed = sum(status != "ok" for status in statuses)
-    return _failed(f"{failed} of {len(statuses)} points failed") if failed else EXIT_OK
-
-
 def _load_problem(o: Dict[str, object]) -> Tuple[
     measures.GridMeasure, measures.GridMeasure, Union[measures.ProductDensity, str]
 ]:
@@ -511,16 +490,18 @@ def _load_problem(o: Dict[str, object]) -> Tuple[
     return mu, nu, cost
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> int:
+def _cmd_solve(cfg: ExperimentConfig) -> None:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
-    if o["plan"] is not None:  # refuse an oversized plan before solving
+    if o["plan"] is not None:  # refuse an oversized plan, or one on the report's path, before solving
         solver._check_plan_cells(mu.grid.n, nu.grid.n)
+        plan = _destination(o, "plan")
+        if os.path.realpath(plan) == os.path.realpath(_destination(o, "out")):
+            raise solver.ParameterError(f"--plan: names the same file as --out ({plan})")
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
-    failure = None
     try:
         result = run(mu, nu, cost, o["gamma"], tol=o["tol"], max_iter=o["max_iter"])
-        report = result.report
+        report, failure = result.report, None
     except solver.ConvergenceError as exc:
         result, report, failure = None, exc.report, exc
 
@@ -534,10 +515,11 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
             f"{state} in {report.iterations} iterations; primal {report.primal_value!r}, "
             f"dual {report.dual_value!r}, gap {report.gap!r}"
         )
-    return EXIT_OK if failure is None else _failed(str(failure))
+    if failure is not None:
+        raise failure
 
 
-def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
+def _cmd_sweep_gamma(cfg: ExperimentConfig) -> None:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
     gammas = o["gammas"]
@@ -564,16 +546,18 @@ def _cmd_sweep_gamma(cfg: ExperimentConfig) -> int:
     _emit(o, {"out": measures._csv_text(header, rows)})
     if not o["quiet"]:
         print(f"swept {len(rows)} gamma values -> {o['out']}")
-    return _sweep_exit([row[-1] for row in rows])
+    failed = sum(row[-1] != "ok" for row in rows)
+    if failed:
+        raise solver.SolverError(f"{failed} of {len(rows)} points failed")
 
 
-def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
+def _cmd_gamma_limit(cfg: ExperimentConfig) -> None:
     o = cfg.options
     schedule = o["schedule"]
     try:
         grid = measures.Grid1D(*o["domain"], o["n"])
     except ValueError as exc:
-        raise CliError(EXIT_PARAM, f"--domain: {exc}") from None
+        raise solver.ParameterError(f"--domain: {exc}") from None
     ext = gl.ExtendedDomain.extend(grid, max(d for _, d in schedule))
     points = gl.gamma_sweep(
         o["mu"], o["nu"], o["cost"], schedule, ext, tol=o["tol"], max_iter=o["max_iter"], mode=o["mode"]
@@ -592,10 +576,12 @@ def _cmd_gamma_limit(cfg: ExperimentConfig) -> int:
     if not o["quiet"]:
         for p in points:
             print(f"gamma={p.gamma} delta={p.delta} value={p.regularized_value!r} [{p.status}]")
-    return _sweep_exit([p.status for p in points])
+    failed = sum(p.status != "ok" for p in points)
+    if failed:
+        raise solver.SolverError(f"{failed} of {len(points)} points failed")
 
 
-def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
+def _cmd_orlicz_norm(cfg: ExperimentConfig) -> None:
     o = cfg.options
     result = orlicz.luxemburg_norm(o["input"], _YOUNG[o["young"]], o["tol"])
     payload = {
@@ -607,18 +593,16 @@ def _cmd_orlicz_norm(cfg: ExperimentConfig) -> int:
     }
     _emit(o, {"out": _json_text(payload)})
     print(repr(result.value))
-    return EXIT_OK
 
 
-def _cmd_entropy(cfg: ExperimentConfig) -> int:
+def _cmd_entropy(cfg: ExperimentConfig) -> None:
     o = cfg.options
     value = orlicz.neg_entropy(o["input"])
     _emit(o, {"out": _json_text({"value": value, "provenance": cfg.provenance})})
     print(repr(value))
-    return EXIT_OK
 
 
-def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
+def _cmd_check_optimality(cfg: ExperimentConfig) -> None:
     o = cfg.options
     plan = o["plan"]
     _match_grids("plan", plan, o["mu"], o["nu"])
@@ -643,13 +627,13 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> int:
     if not o["quiet"]:
         print(f"r1={r1!r} r2={r2!r} primal={primal!r} within_tol={within}")
     if not within:
-        return _failed(f"largest marginal residual {max(r1, r2)!r} exceeds --tol {o['tol']!r}")
-    return EXIT_OK
+        raise solver.SolverError(f"largest marginal residual {max(r1, r2)!r} exceeds --tol {o['tol']!r}")
 
 
 class _Command(NamedTuple):
     help: str
-    run: Callable[[ExperimentConfig], int]
+    #: writes the outputs; raises on failure, and main maps the exception to an exit code
+    run: Callable[[ExperimentConfig], None]
     #: the options the subcommand takes besides those of _SHARED, with their defaults
     defaults: Dict[str, object]
     #: readers of options the subcommand reads otherwise than _OPTIONS does
@@ -684,31 +668,23 @@ _COMMANDS: Dict[str, _Command] = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        cfg, violations = parse_config(sys.argv[1:] if argv is None else argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    """Run one command; the exit code of its outcome, whose reason, if it failed, is on stderr."""
+    cfg, violations = parse_config(sys.argv[1:] if argv is None else argv)
+    for _, message in violations:
+        print(f"error: {message}", file=sys.stderr)
     if violations:
-        for _, message in violations:
-            print(f"error: {message}", file=sys.stderr)
-        if all(kind == "missing" for kind, _ in violations):
-            return EXIT_MISSING_FILE
-        return EXIT_PARAM
+        return EXIT_MISSING_FILE if all(kind == "missing" for kind, _ in violations) else EXIT_PARAM
     try:
-        return _COMMANDS[cfg.command].run(cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        _COMMANDS[cfg.command].run(cfg)
+        return EXIT_OK
     except (solver.ParameterError, OverflowError) as exc:  # such as f log f of a huge density
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
+        code, reason = EXIT_PARAM, exc
     except solver.SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        code, reason = EXIT_FAILED, exc
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRITE
+        code, reason = EXIT_WRITE, exc
+    print(f"error: {reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

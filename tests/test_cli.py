@@ -80,6 +80,60 @@ def test_missing_file_exit_code(tmp_path):
     assert run(["solve", "--config", str(tmp_path / "no.json")]) == 4
 
 
+def test_violations_are_listed_in_option_order(tmp_path, marginal_files, capsys):
+    _, nu = marginal_files
+    missing = str(tmp_path / "absent.csv")
+    assert run(["solve", "--mu", missing, "--nu", nu]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --mu: file not found: {missing}",
+        "error: --gamma is required",
+    ]
+
+
+def test_python_m_entot_cli_exits_with_the_code_of_main(tmp_path, marginal_files):
+    mu, nu = marginal_files
+    src = os.path.dirname(os.path.dirname(entot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "entot.cli", "solve"]
+    done = subprocess.run([*command, "--config", "missing.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr == "error: config file not found: missing.json\n"
+    done = subprocess.run([*command, "--mu", mu, "--nu", nu, "--gamma", "-1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: --gamma: ")
+
+
+@pytest.mark.parametrize("out", ["same.txt", "./same.txt"])
+def test_solve_refuses_a_plan_on_the_path_of_out(tmp_path, marginal_files, monkeypatch, capsys, out):
+    mu, nu = marginal_files
+    monkeypatch.chdir(tmp_path)
+    code = run(["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--out", out, "--plan", "same.txt"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --plan: names the same file as --out (same.txt)\n"
+    assert sorted(os.listdir(tmp_path)) == ["mu.csv", "nu.csv"]  # the inputs alone
+
+
+def test_an_unknown_config_key_is_an_invalid_parameter(tmp_path, marginal_files, capsys):
+    mu, nu = marginal_files
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({"mu": mu, "nu": nu, "gamma": 0.2, "max-iter": 3}))
+    assert run(["solve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"error: config file {cfg_path}: unknown option 'max-iter'\n"
+    assert not out.exists()
+    # a key of another subcommand's option is accepted, so one file serves both commands
+    cfg_path.write_text(json.dumps({"mu": mu, "nu": nu, "gamma": 0.2, "gammas": [0.5, 0.2]}))
+    assert run(["solve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["converged"] is True
+    sweep = tmp_path / "sweep.csv"
+    assert run(["sweep-gamma", "--config", str(cfg_path), "--out", str(sweep), "--quiet"]) == 0
+    assert len(sweep.read_text().splitlines()) == 3
+
+
 def test_solve_writes_report_with_fixed_keys(tmp_path, marginal_files):
     mu, nu = marginal_files
     out = tmp_path / "report.json"

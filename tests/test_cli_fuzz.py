@@ -12,6 +12,8 @@ delta keeps it below 1. --threads takes 1 and 2, which every subcommand
 checks and ignores.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -39,15 +41,17 @@ def _list(pool, min_size=0):
     return st.lists(st.sampled_from(pool), min_size=min_size, max_size=3).map(",".join)
 
 
-def _schedules(numbers, c, coeff, exp):
+def _schedules(numbers, c, coeff, exp, min_size=0):
     return st.one_of(
-        st.tuples(st.sampled_from(c), _list(numbers)).map(
+        st.tuples(st.sampled_from(c), _list(numbers, min_size)).map(
             lambda t: f"coupled:c={t[0]}:gammas={t[1]}"
         ),
-        st.tuples(st.sampled_from(coeff), st.sampled_from(exp), _list(numbers)).map(
+        st.tuples(st.sampled_from(coeff), st.sampled_from(exp), _list(numbers, min_size)).map(
             lambda t: f"power:coeff={t[0]}:exp={t[1]}:gammas={t[2]}"
         ),
-        st.lists(st.tuples(st.sampled_from(numbers), st.sampled_from(numbers)), max_size=3).map(
+        st.lists(
+            st.tuples(st.sampled_from(numbers), st.sampled_from(numbers)), min_size=min_size, max_size=3
+        ).map(
             lambda pairs: "pairs:" + ",".join(f"{g}:{d}" for g, d in pairs)
         ),
     )
@@ -62,14 +66,21 @@ GOOD = {
     "cost": st.sampled_from(["sqdist", "abs", "file:cost.csv"]),
     "gamma": st.sampled_from(["0.5", "0.1"]),
     "gammas": _list(["0.5", "0.1", "0.05"], min_size=1),
-    "schedule": _schedules(["0.2", "0.1"], ["1", "2"], ["1", "2"], ["1"]),
+    # every delta of a good schedule is at least 0.1, which 80 cells on -1:1 resolve
+    "schedule": _schedules(["0.2", "0.1"], ["1", "2"], ["1", "2"], ["1"], min_size=1),
     "domain": st.sampled_from(["0:1", "-1:1"]),
-    "n": st.sampled_from(["16", "64"]),
+    "n": st.sampled_from(["80", "128"]),
     "tol": st.sampled_from(["0.1", "1e-3", "1e-6"]),
     "max_iter": st.sampled_from(["50", "200"]),
     "out": st.sampled_from(["out.json", "out.csv"]),
     "out_dir": st.sampled_from(["outs"]),
     "threads": st.sampled_from(["1", "2"]),
+}
+#: gamma-limit's own good texts: atoms for its marginals, and rule names only for its cost
+GOOD_LIMIT = {
+    "mu": st.sampled_from(ATOMS),
+    "nu": st.sampled_from(ATOMS),
+    "cost": st.sampled_from(["sqdist", "abs"]),
 }
 #: flag texts, by option, of malformed, out-of-range and non-finite values;
 #: the int options stay capped, and no delta reaches 1
@@ -113,8 +124,8 @@ def flag_text(key, command, wild):
     opt = cli._OPTIONS[key]
     if opt.choices:
         good, bad = st.sampled_from(opt.choices), st.just("bogus")
-    elif command == "gamma-limit" and key in ("mu", "nu"):
-        good, bad = st.sampled_from(ATOMS), WILD[key]
+    elif command == "gamma-limit" and key in GOOD_LIMIT:
+        good, bad = GOOD_LIMIT[key], WILD[key]
     else:
         good, bad = GOOD[key], WILD[key]
     return bad if wild else good
@@ -277,7 +288,8 @@ def test_every_option_of_every_subcommand_exits_with_a_documented_code(command, 
 
 
 def _exit_code(argv, config):
-    """The exit code of ``cli.main(argv)`` in a fresh directory of INPUTS and cfg.json of ``config``."""
+    """The exit code of ``cli.main(argv)`` in a fresh directory of INPUTS and cfg.json of ``config``;
+    fails unless a nonzero exit printed an ``error:`` line, as argparse's usage line does too."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in INPUTS.items():
@@ -287,12 +299,15 @@ def _exit_code(argv, config):
         with open(os.path.join(tmp, "cfg.json"), "w") as fh:
             json.dump(config, fh)
         os.chdir(tmp)
+        err = io.StringIO()
         try:
-            code = cli.main(argv)
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         finally:
             os.chdir(cwd)
+    assert code == 0 or "error:" in err.getvalue(), (argv, config, code, err.getvalue())
     return code
 
 
