@@ -12,8 +12,9 @@ check-optimality recompute marginal residuals and objective of a stored plan
 A JSON config file (flat keys named after the long flags, underscores for
 dashes) may supply any option; explicit flags win and the origin of every
 value is recorded under "provenance" in JSON outputs. A key that names no
-option of any subcommand is an invalid parameter; a key of another
-subcommand's option is ignored, so one file can serve several commands.
+option of any subcommand is an invalid parameter, and so is a config key;
+a key of another subcommand's option is ignored, so one file can serve
+several commands.
 A config file that is missing, unreadable, not JSON or not an object is
 reported alone. A config value must
 have the option's JSON type: a number for --gamma and --tol, an integer
@@ -23,9 +24,10 @@ numbers. A string given for a numeric option is read as the flag's text,
 and null is accepted only for an option that is unset by default, such as
 solve's --plan. Any other value is an invalid parameter. So are a
 non-finite --gamma, --gammas value or --tol, an empty output path (--out,
-and solve's --plan), a solve --plan that names the file of --out, a cost
-file or stored plan whose grids are not those of --mu and --nu, and a
-density whose neg-entropy overflows.
+and solve's --plan), an output that names the file of an input option
+(--config included) or of an earlier output, a cost file or stored plan
+whose grids are not those of --mu and --nu, and a density whose
+neg-entropy overflows.
 --threads is checked and ignored: the sweeps solve their points in order,
 a point that does not converge or overflows is a failed row (exit 5), and
 an invalid parameter at any point exits 3 and writes nothing. Outputs are
@@ -56,6 +58,8 @@ write a float outside the double range, or NaN, as null.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -68,6 +72,11 @@ import numpy as np
 
 from . import gamma_limit as gl
 from . import measures, orlicz, solver
+
+# Exit hooks run before the interpreter's final garbage collections, which would walk
+# every tracked object, some 22k after a command, for about 4.5 ms each; frozen objects
+# are not walked. Every output is closed before main returns.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -351,14 +360,17 @@ def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str,
             violations.append(("param", f"config file {path}: {exc}"))
     if violations:
         return ExperimentConfig(command, {}, {}), violations
-    # a key of another subcommand's option is no error, so that one file serves several commands
+    # a key of another subcommand's option is no error, so that one file serves several
+    # commands; a config file names no further config file
     for key in file_values:
-        if key not in _OPTIONS:
+        if key not in _OPTIONS or key == "config":
             violations.append(("param", f"config file {path}: unknown option {key!r}"))
 
     spec = _COMMANDS[command]
     options: Dict[str, object] = {}
     provenance: Dict[str, str] = {}
+    # (option, path) of each file read so far and each output path, to refuse an output on either
+    files: List[Tuple[str, str]] = [] if path is None else [("config", path)]
     for key, default in {**_SHARED, **spec.defaults}.items():
         value, origin = getattr(args, key), "flag"
         if value is None:
@@ -370,7 +382,13 @@ def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str,
             if value is _REQUIRED:
                 violations.append(("param", f"{_flag(key)} is required"))
             elif value is not None and read is not None:
-                value = read(value)
+                file, value = _input_file(read, value), read(value)
+                # an --out-dir refused above is left as the config file gave it: no path
+                if read is _output_path and isinstance(options["out_dir"], (str, type(None))):
+                    file = _destination(options["out_dir"], value)
+                    _refuse_overwrite(key, file, files)
+                if file is not None:
+                    files.append((key, file))
         except FileNotFoundError as exc:
             violations.append(("missing", f"{_flag(key)}: file not found: {exc.filename}"))
         except OSError as exc:  # such as a directory given as the file
@@ -379,6 +397,22 @@ def parse_config(argv: Sequence[str]) -> Tuple[ExperimentConfig, List[Tuple[str,
             violations.append(("param", f"{_flag(key)}: {exc}"))
         options[key], provenance[key] = value, origin
     return ExperimentConfig(command, options, provenance), violations
+
+
+def _input_file(read: Callable, value: str) -> Optional[str]:
+    """The path of the file that reader ``read`` reads for ``value``, if it reads one."""
+    if read in (_measure_file, _plan_file):
+        return value
+    if read is _cost and value.startswith("file:"):
+        return value[5:]
+    return None
+
+
+def _refuse_overwrite(key: str, path: str, files: List[Tuple[str, str]]) -> None:
+    """Refuse output option ``key``'s ``path`` if it is the file of an input or earlier output."""
+    for other, file in files:
+        if os.path.realpath(path) == os.path.realpath(file):
+            raise ValueError(f"names the same file as {_flag(other)} ({path})")
 
 
 def _json_ready(obj):
@@ -396,16 +430,17 @@ def _json_text(obj) -> str:
     return json.dumps(_json_ready(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _destination(o: Dict[str, object], key: str) -> str:
-    """The path output option ``key`` writes to: its own if absolute, else under --out-dir."""
+def _destination(out_dir: Optional[str], path: str) -> str:
+    """Where an output option set to ``path`` writes: ``path`` if absolute, else under --out-dir."""
     # os.path.join keeps an absolute path as it is
-    return os.path.join(o["out_dir"] or "", o[key])
+    return os.path.join(out_dir or "", path)
 
 
 def _emit(o: Dict[str, object], texts: Dict[str, str]) -> None:
     """Write each text to the path of the option it is keyed by, if that is set;
     all files appear or none."""
-    emit_files({_destination(o, key): text for key, text in texts.items() if o[key] is not None})
+    out_dir = o["out_dir"]
+    emit_files({_destination(out_dir, o[key]): text for key, text in texts.items() if o[key] is not None})
 
 
 def emit_files(outputs: Dict[str, str]) -> None:
@@ -493,11 +528,8 @@ def _load_problem(o: Dict[str, object]) -> Tuple[
 def _cmd_solve(cfg: ExperimentConfig) -> None:
     o = cfg.options
     mu, nu, cost = _load_problem(o)
-    if o["plan"] is not None:  # refuse an oversized plan, or one on the report's path, before solving
+    if o["plan"] is not None:  # refuse an oversized plan before solving
         solver._check_plan_cells(mu.grid.n, nu.grid.n)
-        plan = _destination(o, "plan")
-        if os.path.realpath(plan) == os.path.realpath(_destination(o, "out")):
-            raise solver.ParameterError(f"--plan: names the same file as --out ({plan})")
     run = solver.solve if o["mode"] == "direct" else solver.solve_logdomain
     try:
         result = run(mu, nu, cost, o["gamma"], tol=o["tol"], max_iter=o["max_iter"])

@@ -34,7 +34,9 @@ is evaluated on the support centers only. When such a rule meets two grids
 of one spacing, K is a Toeplitz matrix, and on large blocks whose kernel
 range FFT round-off can resolve, an FFT kernel convolves instead, in
 O(n log n) time and O(n) memory; a pass that fails its round-off check
-sends the solve back to the dense kernel.
+sends the solve back to the dense kernel. A warm start over-relaxes the
+passes at a factor set from the loop's measured rate (:class:`_Relaxation`);
+a cold solve runs plain passes.
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
@@ -256,9 +258,9 @@ class Potentials:
 class SolveReport:
     """Outcome record of one solve.
 
-    ``residual_history`` lists the weighted L1 error of the unenforced
-    marginal after each scaling pass; ``transport_cost`` is the part
-    sum_ij c_ij pi_ij h1 h2 of the primal value; ``optimality_residual``
+    ``residual_history`` lists the weighted L1 error of the second
+    marginal, which the a-pass does not enforce, after each iteration;
+    ``transport_cost`` is the part sum_ij c_ij pi_ij h1 h2 of the primal value; ``optimality_residual``
     is the pair of marginal-equation residuals of the final state;
     ``gauge_constant`` is the factor the a-vector was divided by to
     normalize its integral to 1. ``absorptions`` counts how often log mode
@@ -273,7 +275,10 @@ class SolveReport:
     and ``sandwich_violation`` is how far log a leaves [log mu - k, log mu + k]
     there, nonpositive when the paper's two-sided potential bound holds; the
     gauge (sum_i a_i h1 = 1) pins cunder <= 1 <= cbar. Both are read off the
-    last a-pass.
+    last a-pass. ``relaxation`` is the over-relaxation factor omega of the
+    last pass, 1.0 for a plain one. A plain a-pass makes the rows exact, so
+    the first residual is rounding; after a relaxed one it is only within
+    tol, and so is the second.
     """
 
     iterations: int
@@ -292,6 +297,7 @@ class SolveReport:
     kernel_reason: str
     sandwich_k: float
     sandwich_violation: float
+    relaxation: float
 
 
 class SolveResult:
@@ -568,37 +574,111 @@ def _cost_block(c, grids, masks) -> np.ndarray:
     return _rule(c)(x[:, None], y[None, :])
 
 
-def _scale(kernel, p, q, tol, max_iter, log_b):
-    """Alternate a- and b-passes on cell masses p and q from log B = ``log_b`` until q is within tol.
+#: the largest over-relaxation factor; relaxed scaling converges locally only below 2
+_OMEGA_MAX = 1.95
+#: how far apart, relative, three successive residual ratios may be for the rate to count as measured
+_SETTLED = 0.01
+#: how far a relaxed residual may rise over the one at which omega was set before the
+#: relaxation is turned off. A raised omega first lifts the residual, by up to 4.9 times
+#: and for up to 12 passes on the sin/cos pairs of n = 64 to 512 down to gamma = 0.001
+_RISE = 100.0
 
-    Each iteration opens with the b-update of the one before, so the loop
-    stops on the iterate its last residual measured. The loop is
-    deterministic: once log b repeats with no absorption in between, every
-    later pass repeats too, so it stops there. Only a residual equal to the
-    one before can mark that, so only then are the vectors compared.
-    Returns the residuals, log A, log B, the last passes' log row
-    denominators and the plan's column masses. It runs under the error
-    state of :func:`_solve`.
+
+class _Relaxation:
+    """The over-relaxation factor omega of a warm-started loop, set from its measured rate.
+
+    Plain scaling converges linearly at a rate theta that tends to 1 as
+    gamma falls. Over-relaxed scaling, log a <- log a + omega (log p - row
+    - log a) and likewise for log b, keeps the fixed point, and with
+    omega = 2 / (1 + sqrt(1 - theta)) its local rate is omega - 1
+    (Thibault et al., arXiv:1711.01851; Lehmann et al., Optim. Lett.
+    2022). Once three successive residual ratios measured at the current
+    omega agree within :data:`_SETTLED`, the last ratio is the rate: theta
+    itself at omega = 1, else lambda, from which theta = (lambda + omega -
+    1)^2 / (lambda omega^2) for lambda above omega - 1. omega is set from
+    theta, capped at :data:`_OMEGA_MAX`, when that raises it. A residual
+    more than :data:`_RISE` times the one at which omega was last set
+    turns the relaxation off for the rest of the solve.
+    """
+
+    def __init__(self, on: bool):
+        self.on = on
+        self.omega = 1.0
+        self._since = 0  # the index of the first residual measured at the current omega
+        self._set_at = math.inf
+
+    def update(self, residuals: list) -> None:
+        """Set omega for the next pass from the residuals so far."""
+        if not self.on:
+            return
+        if residuals[-1] > _RISE * self._set_at:
+            self.on, self.omega = False, 1.0
+            return
+        r = residuals[max(self._since, len(residuals) - 4):]
+        if len(r) < 4 or not min(r) > 0:
+            return
+        ratios = [r[1] / r[0], r[2] / r[1], r[3] / r[2]]
+        lam, omega = ratios[-1], self.omega
+        if not (max(ratios) <= (1 + _SETTLED) * min(ratios) and omega - 1 < lam < 1):
+            return
+        new = _omega((lam + omega - 1) ** 2 / (lam * omega ** 2))
+        if new > omega:
+            self.omega, self._since, self._set_at = new, len(residuals), residuals[-1]
+
+
+def _omega(theta: float) -> float:
+    """The factor whose relaxed local rate, omega - 1, is least for the plain rate theta; capped."""
+    # theta estimated from a relaxed rate just below 1 can round to above 1
+    return min(2 / (1 + math.sqrt(max(1 - theta, 0.0))), _OMEGA_MAX)
+
+
+def _relaxed(log_v: np.ndarray, target: np.ndarray, omega: float) -> np.ndarray:
+    """The update of ``log_v`` towards the plain pass's ``target``: the target itself at omega = 1."""
+    return target if omega == 1.0 else log_v + omega * (target - log_v)
+
+
+def _scale(kernel, p, q, tol, max_iter, log_b):
+    """Alternate a- and b-passes on cell masses p and q from log B = ``log_b`` until both are within tol.
+
+    A cold start, log B = log h2 on every cell, runs plain passes, which
+    leave the rows exact, and stops once the columns' residual is within
+    tol. A warm start over-relaxes the passes as :class:`_Relaxation`
+    sets; a relaxed a-pass leaves the rows inexact, so the loop then stops
+    once both residuals are. Each iteration opens with the b-update of the
+    one before, so the loop stops on the iterate its last residuals
+    measured. The loop is deterministic: once its iterate repeats at one
+    omega with no absorption in between, every later pass repeats too, so
+    it stops there. Only a residual equal to the one before can mark that,
+    so only then are the vectors compared. Returns the column residuals,
+    log A, log B, the last passes' log row denominators, the plan's
+    column masses and the last pass's omega. It runs under the error state
+    of :func:`_solve`.
     """
     log_p = np.log(p)
     log_q = np.log(q)
     residuals: list = []
+    relaxation = _Relaxation(on=np.ptp(log_b) > 0)  # the cold start is constant
+    omega, log_a = 1.0, None  # the first pass is plain
     for it in range(1, max_iter + 1):
         if it > 1:
-            last_b, last_absorptions = log_b, absorptions
-            log_b = log_q - col
+            relaxation.update(residuals)
+            last_a, last_b, last_absorptions, last_omega = log_a, log_b, absorptions, omega
+            omega = relaxation.omega
+            log_b = _relaxed(log_b, log_q - col, omega)
         row = kernel.denominators(log_b, it, "a")
         absorptions = kernel.absorptions  # the count this a-pass's matvec saw
-        log_a = log_p - row
+        log_a = _relaxed(log_a, log_p - row, omega)
         col = kernel.denominators(log_a, it, "b")
         colmass = np.exp(log_b + col)
         residuals.append(float(np.abs(colmass - q).sum()))
-        if residuals[-1] <= tol or (
+        r1 = 0.0 if omega == 1.0 else float(np.abs(np.exp(log_a + row) - p).sum())
+        if max(residuals[-1], r1) <= tol or (
             it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
-            and np.array_equal(log_b, last_b)
+            and omega == last_omega and np.array_equal(log_b, last_b)
+            and (omega == 1.0 or np.array_equal(log_a, last_a))
         ):
             break
-    return residuals, log_a, log_b, row, colmass
+    return residuals, log_a, log_b, row, colmass, omega
 
 
 # arithmetic beyond the double range gives inf or NaN, not a warning; a
@@ -656,7 +736,7 @@ def _solve(
     for kind in (_ToeplitzKernel, _DenseKernel):
         try:
             kernel = kind(c, grids, masks, gamma, mode)
-            residuals, log_a, log_b, row, colmass = _scale(kernel, p, q, tol, max_iter, log_b0)
+            residuals, log_a, log_b, row, colmass, omega = _scale(kernel, p, q, tol, max_iter, log_b0)
             break
         except _Refused as exc:
             refusals.append(str(exc))
@@ -671,6 +751,8 @@ def _solve(
     rowmass = np.exp(log_a + row)
     mass = float(rowmass.sum())
     r1 = float(np.abs(rowmass - p).sum())
+    # log p - log A: row after a plain a-pass, not after a relaxed one
+    lift = row if omega == 1.0 else np.log(p) - log_a
 
     # gauge: divide A by its sum, so that sum_i a_i h1 = 1, and return to
     # densities (_logsumexp overwrites its argument)
@@ -679,9 +761,9 @@ def _solve(
     log_b = log_b + (log_gauge - log_h2)
     gauge_constant = float(np.exp(log_gauge))
     # the sandwich bound: the gauged state's log row denominators are row + log_gauge,
-    # and log a - log mu = -(row + log_gauge)
+    # and log a - log mu = -(lift + log_gauge)
     sandwich_k = float(np.max(row) - np.min(row))
-    sandwich_violation = float(np.max(np.abs(row + log_gauge)) - sandwich_k)
+    sandwich_violation = float(np.max(np.abs(lift + log_gauge)) - sandwich_k)
 
     # c + gamma log pi = gamma (log a + log b) on the block, so the primal
     # sum (c pi + gamma pi (log pi - 1)) h1 h2 needs only the marginals
@@ -696,7 +778,7 @@ def _solve(
         gap=primal - dual,
         optimality_residual=(r1, residuals[-1]),
         gauge_constant=gauge_constant,
-        converged=residuals[-1] <= tol,
+        converged=residuals[-1] <= tol and (omega == 1.0 or r1 <= tol),
         mode=mode,
         absorptions=kernel.absorptions,
         fallbacks=kernel.fallbacks,
@@ -704,11 +786,12 @@ def _solve(
         kernel_reason="; ".join(refusals),
         sandwich_k=sandwich_k,
         sandwich_violation=sandwich_violation,
+        relaxation=omega,
     )
     if not report.converged:
         # the loop ends early without converging only at a fixed point
         raise ConvergenceError(report, stalled=report.iterations < max_iter)
-    # the second residual is within tol
+    # the residuals are within tol
     for name, value in (("primal value", primal), ("dual value", dual), ("transport cost", cost),
                         ("first marginal residual", r1)):
         if not math.isfinite(value):
@@ -740,7 +823,8 @@ def solve(
         Regularization weight, positive.
     tol : float
         Stop when the weighted L1 error of the unenforced marginal drops
-        to tol or below (checked after each a-pass).
+        to tol or below (checked after each a-pass); after relaxed passes,
+        when that of either marginal does.
     max_iter : int
         Iteration cap; one iteration is one a-pass plus, if the stopping
         rule is not yet met, one b-pass.
@@ -750,8 +834,10 @@ def solve(
         solve at a nearby gamma. The loop then starts from log b =
         beta0 / gamma, shifted so that its maximum is 0, instead of from
         log b = 0: the potential, not log b, carries over between gammas.
-        The result meets the same tol, and its values can differ from a
-        cold solve's by about tol.
+        The passes are then over-relaxed once the loop has measured its
+        rate, and stop when both marginal residuals are within tol. The
+        result meets the same tol, and its values can differ from a cold
+        solve's by about tol.
 
     Returns
     -------

@@ -117,6 +117,49 @@ def test_solve_refuses_a_plan_on_the_path_of_out(tmp_path, marginal_files, monke
     assert sorted(os.listdir(tmp_path)) == ["mu.csv", "nu.csv"]  # the inputs alone
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--mu", "mu.csv", "--nu", "nu.csv", "--gamma", "0.2", "--out", "mu.csv"],
+     "--out: names the same file as --mu (mu.csv)"),
+    (["solve", "--mu", "mu.csv", "--nu", "nu.csv", "--gamma", "0.2", "--plan", "sub/../nu.csv"],
+     "--plan: names the same file as --nu (sub/../nu.csv)"),
+    (["sweep-gamma", "--mu", "mu.csv", "--nu", "nu.csv", "--gammas", "0.2", "--out-dir", ".",
+      "--out", "nu.csv"], "--out: names the same file as --nu (./nu.csv)"),
+    (["solve", "--config", "cfg.json", "--gamma", "0.2", "--out", "cfg.json"],
+     "--out: names the same file as --config (cfg.json)"),
+    (["solve", "--mu", "mu.csv", "--nu", "nu.csv", "--gamma", "0.2", "--cost", "file:cost.csv",
+      "--out", "cost.csv"], "--out: names the same file as --cost (cost.csv)"),
+    (["check-optimality", "--mu", "mu.csv", "--nu", "nu.csv", "--gamma", "0.2", "--plan", "plan.csv",
+      "--out", "plan.csv"], "--out: names the same file as --plan (plan.csv)"),
+    (["entropy", "--input", "mu.csv", "--out", "mu.csv"],
+     "--out: names the same file as --input (mu.csv)"),
+])
+def test_an_output_on_the_file_of_an_input_is_refused_before_anything_is_written(
+    tmp_path, marginal_files, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    mu, nu = (measures.read_measure_csv(name) for name in ("mu.csv", "nu.csv"))
+    write_product_csv("plan.csv", product_measure(mu, nu))
+    write_product_csv("cost.csv", ProductDensity(mu.grid, nu.grid, np.ones((mu.grid.n, nu.grid.n))))
+    (tmp_path / "cfg.json").write_text(json.dumps({"mu": "mu.csv", "nu": "nu.csv"}))
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if name != "sub"}
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if name != "sub"}
+    assert after == before
+
+
+def test_a_config_key_in_a_config_file_is_an_unknown_option(tmp_path, marginal_files, capsys):
+    mu, nu = marginal_files
+    nested, cfg_path = tmp_path / "nested.json", tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    nested.write_text(json.dumps({"max_iter": 1}))
+    cfg_path.write_text(json.dumps({"config": str(nested), "mu": mu, "nu": nu, "gamma": 0.2}))
+    assert run(["solve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"error: config file {cfg_path}: unknown option 'config'\n"
+    assert not out.exists()
+
+
 def test_an_unknown_config_key_is_an_invalid_parameter(tmp_path, marginal_files, capsys):
     mu, nu = marginal_files
     cfg_path = tmp_path / "cfg.json"

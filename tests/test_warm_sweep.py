@@ -9,6 +9,8 @@ import pytest
 from entot import cli, solver
 from entot.measures import Grid1D, GridMeasure, write_measure_csv
 
+import oracles
+
 TOL = 1e-9
 HEADER = ["gamma", "iterations", "primal", "dual", "gap", "r1", "r2", "status"]
 
@@ -164,6 +166,7 @@ def _perfbench_problems():
 
 def test_sweep_log_workload_keeps_its_warm_start(tmp_path):
     # the benchmark's sweep-log inputs at seed 0: 763 iterations cold, 541 chained
+    # plain (42, 66, 138 and 295) and 166 over-relaxed
     problems = _perfbench_problems()
     x, mu, nu = problems.smooth_pair(256, 0)
     paths = str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")
@@ -173,3 +176,76 @@ def test_sweep_log_workload_keeps_its_warm_start(tmp_path):
     code, rows = sweep(tmp_path, paths, "0.1,0.05,0.02,0.01", "--mode", "log")
     assert code == 0
     assert sum(int(row["iterations"]) for row in rows) <= 560
+    assert [int(row["iterations"]) for row in rows] == [42, 29, 40, 55]
+
+
+CHAIN = (0.1, 0.01, 0.003, 0.001)
+
+
+@pytest.fixture(scope="module")
+def cold_chains():
+    """Per n, the sin/cos pair and its cold plain log-mode solve at each gamma of CHAIN."""
+    out = {}
+    for n in (64, 256, 512):
+        mu, nu = sin_cos_pair(n)
+        out[n] = mu, nu, [solver.solve_logdomain(mu, nu, "sqdist", gamma, tol=TOL) for gamma in CHAIN]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["log", "direct"])
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_relaxed_warm_solves_agree_with_cold_plain_solves(cold_chains, n, mode):
+    mu, nu, colds = cold_chains[n]
+    run = solver.solve_logdomain if mode == "log" else solver.solve
+    beta = colds[0].potentials.beta[nu.density > 0]
+    for gamma, cold in zip(CHAIN[1:], colds[1:]):
+        assert cold.report.relaxation == 1.0
+        warm = run(mu, nu, "sqdist", gamma, tol=TOL, beta0=beta)
+        rep = warm.report
+        assert rep.relaxation > 1.0
+        assert max(rep.optimality_residual) <= TOL
+        # within 2 tol, as test_chained_sweep_agrees_with_cold_solves argues
+        assert abs(rep.primal_value - cold.report.primal_value) <= 2 * TOL
+        assert abs(rep.dual_value - cold.report.dual_value) <= 2 * TOL
+        assert rep.iterations < cold.report.iterations / 3
+        beta = warm.potentials.beta[nu.density > 0]
+
+
+def test_a_relaxed_report_describes_the_returned_iterate(cold_chains):
+    mu, nu, colds = cold_chains[64]
+    gamma, h1, h2 = 0.01, mu.grid.h, nu.grid.h
+    res = solver.solve_logdomain(
+        mu, nu, "sqdist", gamma, tol=TOL, beta0=colds[0].potentials.beta[nu.density > 0]
+    )
+    rep = res.report
+    assert rep.relaxation > 1.0
+    cost = solver.cost_field(mu.grid, nu.grid, "sqdist").values
+    log_a, log_b = res.state.log_a, res.state.log_b
+    # a relaxed a-pass leaves the rows off by about tol, not by rounding
+    rows = np.exp(log_a + oracles.log_sum_exp(-cost / gamma + log_b + np.log(h2), 1))
+    r1 = np.abs(rows - mu.density).sum() * h1
+    assert 1e-12 < r1 <= TOL
+    assert rep.optimality_residual[0] == pytest.approx(r1, rel=0, abs=1e-12)
+    check = oracles.potential_sandwich_check(log_a, log_b, cost, gamma, mu.density, h2)
+    assert rep.sandwich_k == pytest.approx(check.k_const, rel=1e-12, abs=1e-12)
+    assert rep.sandwich_violation == pytest.approx(check.max_violation, rel=1e-12, abs=1e-12)
+
+
+def test_an_over_large_omega_falls_back_and_the_point_still_solves(cold_chains, monkeypatch):
+    mu, nu, colds = cold_chains[64]
+    set_from = []
+
+    def diverging(theta):  # above 2, where relaxed scaling diverges
+        set_from.append(theta)
+        return 2.5
+
+    monkeypatch.setattr(solver, "_omega", diverging)
+    res = solver.solve_logdomain(
+        mu, nu, "sqdist", 0.01, tol=TOL, beta0=colds[0].potentials.beta[nu.density > 0]
+    )
+    rep = res.report
+    assert set_from and rep.relaxation == 1.0
+    # the relaxed passes raised the residual far above where omega was set
+    assert max(rep.residual_history[1:]) > 100 * min(rep.residual_history[:4])
+    assert max(rep.optimality_residual) <= TOL
+    assert abs(rep.primal_value - colds[1].report.primal_value) <= 2 * TOL
