@@ -275,7 +275,9 @@ def gamma_sweep(
     The cost must be a named closed-form rule so it extends to the
     enlarged domain by evaluation; tabulated costs are rejected, and so is
     an atom outside the original domain, before any point. The points are
-    solved in schedule order. A failed point is marked in ``status`` by the
+    solved in schedule order in ``mode``, ``"log"`` or ``"direct"``;
+    :func:`solver.sweep_point` refuses any other mode before the first
+    solve. A failed point is marked in ``status`` by the
     policy of :func:`solver.sweep_point`, and the sweep continues; a
     ``ParameterError`` at any point ends it.
     """

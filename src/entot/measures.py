@@ -183,9 +183,6 @@ class GridMeasure(GridFunction):
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.h)
 
-    def support_mask(self) -> np.ndarray:
-        return self.values > 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class ProductFunction:
@@ -247,13 +244,6 @@ class AtomicMeasure:
     @property
     def locations(self) -> np.ndarray:
         return np.array([x for x, _ in self.atoms])
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms])
-
-    def sorted(self) -> "AtomicMeasure":
-        return AtomicMeasure(sorted(self.atoms))
 
 
 def marginals(p: ProductDensity) -> Tuple[GridMeasure, GridMeasure]:

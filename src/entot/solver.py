@@ -29,8 +29,8 @@ kernel absorbs log A and log B into f and g after the first a-pass and
 whenever they drift too far, so that its entries are the plan's cell masses,
 and a pass that still over- or underflows is redone by log-sum-exp; in
 direct mode f = g = 0. The two agree to near machine precision whenever
-direct arithmetic does not over- or underflow. A rule of :data:`COST_RULES`
-is evaluated on the support centers only. When such a rule meets two grids
+direct arithmetic does not over- or underflow. The loop evaluates a rule of
+:data:`COST_RULES` on the support centers only. When such a rule meets two grids
 of one spacing, K is a Toeplitz matrix, and on large blocks whose kernel
 range FFT round-off can resolve, an FFT kernel convolves instead, in
 O(n log n) time and O(n) memory; a pass that fails its round-off check
@@ -42,8 +42,10 @@ The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
 and both marginal residuals follow from the plan's row and column sums,
 which those passes' denominators give. The transport cost is one more
-matvec. The plan, dual state and potentials are built when first read.
-:func:`primal_value` recomputes the objective of a stored plan.
+matvec. The solve returns the gauge-normalized dual state on the full grids,
+log a and log b -inf off the supports; when first read, the plan is read off
+it as pi = a (x) b K on the whole product grid, a rule evaluated on every
+center. :func:`primal_value` recomputes the objective of a stored plan.
 """
 
 from __future__ import annotations
@@ -143,8 +145,11 @@ def sweep_point(
     vanishes gives no report and ``failed: <reason>``; a
     :class:`ParameterError` propagates. An ``ok`` point also returns its
     potential beta on supp nu, for the next point to start from; a failed
-    one, or one whose beta leaves the double range, returns None.
+    one, or one whose beta leaves the double range, returns None. A mode
+    but ``"direct"`` or ``"log"`` is a ParameterError before any solve.
     """
+    if mode not in ("direct", "log"):
+        raise ParameterError(f"unknown mode {mode!r}, expected 'direct' or 'log'")
     run = solve if mode == "direct" else solve_logdomain
     try:
         result = run(mu, nu, c, gamma, tol=tol, max_iter=max_iter, beta0=beta0)
@@ -153,7 +158,7 @@ def sweep_point(
             return sweep_point(mu, nu, c, gamma, tol, max_iter, mode)
         return (exc.report if isinstance(exc, ConvergenceError) else None), f"failed: {exc}", None
     with np.errstate(over="ignore"):
-        beta = gamma * result._log_ab[1]
+        beta = gamma * result.state.log_b[nu.density > 0]
     return result.report, "ok", beta if np.isfinite(beta).all() else None
 
 
@@ -301,42 +306,29 @@ class SolveReport:
 
 
 class SolveResult:
-    """The report of one solve, and its plan, dual state and potentials.
+    """The report of one solve, its gauge-normalized dual state, and the plan and potentials read off it.
 
-    The solve builds the report. The plan, the gauge-normalized state and
-    the potentials live on the full grids and are built from the solution
-    on the supports when first read.
+    The solve builds the report and the state on the full grids. The plan
+    and the potentials are built from the state when first read.
     """
 
-    def __init__(self, report, grids, masks, log_ab, cost, gamma):
+    def __init__(self, report, state, grids, cost, gamma):
         self.report: SolveReport = report
-        # log a and log b on the supports that ``masks`` mark; the cost table or rule
-        self._grids, self._masks, self._log_ab, self._cost = grids, masks, log_ab, cost
-        self._gamma = gamma
-
-    @cached_property
-    def state(self) -> DualState:
-        smask, tmask = self._masks
-        log_a = np.full(smask.size, -np.inf)
-        log_b = np.full(tmask.size, -np.inf)
-        log_a[smask], log_b[tmask] = self._log_ab
-        with np.errstate(over="ignore"):
-            return DualState(np.exp(log_a), np.exp(log_b), log_a, log_b)
+        self.state: DualState = state
+        self._grids, self._cost, self._gamma = grids, cost, gamma  # the cost table or rule
 
     @cached_property
     def plan(self) -> ProductDensity:
-        smask, tmask = self._masks
-        _check_plan_cells(smask.size, tmask.size)
-        log_a, log_b = self._log_ab
-        # log pi = (log K + log a) + log b on the supports; K is 0 where c / gamma overflows
+        """pi = a (x) b K on the whole product grid: exp(-inf) is 0 off the supports."""
+        state = self.state
+        _check_plan_cells(state.log_a.size, state.log_b.size)
+        every = tuple(np.ones(v.size, dtype=bool) for v in (state.log_a, state.log_b))
+        # log pi = (log K + log a) + log b; K is 0 where c / gamma overflows
         with np.errstate(over="ignore"):
-            values = block = _cost_block(self._cost, self._grids, self._masks) / -self._gamma
-            block += log_a[:, None]
-            block += log_b
-            np.exp(block, out=block)
-        if not (smask.all() and tmask.all()):
-            values = np.zeros((smask.size, tmask.size))
-            values[np.ix_(smask, tmask)] = block
+            values = _cost_block(self._cost, self._grids, every) / -self._gamma
+            values += state.log_a[:, None]
+            values += state.log_b
+            np.exp(values, out=values)
         try:
             return ProductDensity(*self._grids, values)
         except ValueError:  # exponentials of the right shape: only a non-finite one is refused
@@ -796,7 +788,11 @@ def _solve(
                         ("first marginal residual", r1)):
         if not math.isfinite(value):
             raise ParameterError(f"the solve's {name} is {value!r}, outside the floating-point range")
-    return SolveResult(report, grids, masks, (log_a, log_b), c, float(gamma))
+    # the state on the full grids: log a = -inf off supp mu, log b = -inf off supp nu
+    full_a, full_b = np.full(smask.size, -np.inf), np.full(tmask.size, -np.inf)
+    full_a[smask], full_b[tmask] = log_a, log_b
+    state = DualState(np.exp(full_a), np.exp(full_b), full_a, full_b)
+    return SolveResult(report, state, grids, c, float(gamma))
 
 
 def solve(
@@ -817,8 +813,8 @@ def solve(
         Probability marginals (mass 1 within ``MASS_TOL``).
     c : ProductDensity or str
         Nonnegative cost table on the product of the marginals' grids, or
-        the name of a rule in :data:`COST_RULES`, evaluated on the
-        supports of the marginals only.
+        the name of a rule in :data:`COST_RULES`, which the loop evaluates
+        on the supports of the marginals only.
     gamma : float
         Regularization weight, positive.
     tol : float
@@ -842,8 +838,8 @@ def solve(
     Returns
     -------
     SolveResult
-        The report, and the plan, gauge-normalized dual state and
-        potentials, which are built when first read.
+        The report and the gauge-normalized dual state; the plan and the
+        potentials are built from the state when first read.
 
     Raises
     ------

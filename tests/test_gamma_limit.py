@@ -441,6 +441,12 @@ def test_a_solve_at_a_fixed_point_stops_and_says_so():
     assert str(err.value).startswith("no convergence in 3 iterations (")
 
 
+def test_sweep_refuses_an_unknown_mode_before_any_solve(monkeypatch):
+    monkeypatch.setattr(solver, "_solve", lambda *args: pytest.fail("a point was solved"))
+    with pytest.raises(ParameterError, match="unknown mode 'nonsense', expected 'direct' or 'log'"):
+        simple_sweep([(0.2, 0.2)], mode="nonsense")
+
+
 def test_sweep_validates_grid_resolution():
     sched = [(0.001, 0.001)]
     with pytest.raises(ParameterError):

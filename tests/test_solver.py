@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -614,3 +615,37 @@ def test_an_ok_point_whose_potential_leaves_the_double_range_warm_starts_nothing
     mu, nu = GridMeasure(g, np.ones(32), renormalize=True), GridMeasure(g, d, renormalize=True)
     report, status, beta = sweep_point(mu, nu, "sqdist", 1e308, 1e-9, 1000, "log")
     assert status == "ok" and np.isfinite(report.primal_value) and beta is None
+
+
+def test_an_unknown_mode_is_refused_before_any_solve(monkeypatch):
+    mu, nu, _ = smooth_pair()
+    monkeypatch.setattr("entot.solver._solve", lambda *args: pytest.fail("the point was solved"))
+    with pytest.raises(ParameterError, match="unknown mode 'bogus', expected 'direct' or 'log'"):
+        sweep_point(mu, nu, "sqdist", 0.1, 1e-9, 1000, "bogus")
+
+
+@pytest.mark.parametrize("rule", [False, True])
+def test_a_plan_on_partial_supports_is_read_off_the_state_in_one_block(rule):
+    # mu vanishes on its first fifth and nu on its last seventh; a table takes
+    # the dense kernel and the rule the FFT kernel
+    n, gamma = 1024, 0.1
+    g = unit_grid(n)
+    x = g.centers
+    d1 = 1.0 + 0.4 * np.sin(2 * np.pi * x)
+    d2 = 1.0 + 0.4 * np.cos(2 * np.pi * x)
+    d1[: n // 5] = 0.0
+    d2[n - n // 7:] = 0.0
+    mu, nu = GridMeasure(g, d1, renormalize=True), GridMeasure(g, d2, renormalize=True)
+    table = cost_field(g, g, "sqdist")
+    res = solve_logdomain(mu, nu, "sqdist" if rule else table, gamma)
+    assert res.report.kernel == ("fft" if rule else "dense")
+    tracemalloc.start()
+    try:
+        plan = res.plan
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the plan, ProductDensity's copy of it and the checks of its values
+    assert peak <= 2.5 * n * n * 8
+    state = res.state
+    assert np.array_equal(plan.values, np.exp((-table.values / gamma + state.log_a[:, None]) + state.log_b))
