@@ -495,10 +495,7 @@ def emit_files(outputs: Dict[str, str]) -> None:
 def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
     """Refuse the table of option ``what`` unless its grids are those of --mu and --nu."""
     for key, grid, m in (("mu", table.grid1, mu), ("nu", table.grid2, nu)):
-        # the grids are rebuilt from printed centers, so match them to a fraction of a cell
-        if grid.n != m.grid.n or not np.allclose(
-            grid.centers, m.grid.centers, rtol=0, atol=1e-6 * m.grid.h
-        ):
+        if not m.grid.matches(grid):
             raise solver.ParameterError(
                 f"{_flag(what)}: {what} grid ({grid.n} cells on [{grid.lo!r}, {grid.hi!r}]) "
                 f"does not match --{key} ({m.grid.n} cells on [{m.grid.lo!r}, {m.grid.hi!r}])",

@@ -47,8 +47,14 @@ def _off_unit_mass(mass: float) -> bool:
 
 
 def _table(values, grids: Sequence[Grid1D], what: str) -> np.ndarray:
-    """A read-only float copy of ``values``, refused unless it is finite with one axis per grid."""
-    arr = np.array(values, dtype=float, copy=True)
+    """A read-only float copy of ``values``, refused unless it is finite with one axis per grid.
+
+    A read-only float array that owns its data is kept as it is: no view of it can write to it.
+    """
+    owned = type(values) is np.ndarray and values.dtype == np.float64 and (
+        values.flags.owndata and not values.flags.writeable
+    )
+    arr = values if owned else np.array(values, dtype=float, copy=True)
     shape = tuple(g.n for g in grids)
     if arr.shape != shape:
         raise ValueError(f"{what} shape {arr.shape} does not match grids {shape}")
@@ -118,6 +124,15 @@ class Grid1D:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
+
+    def matches(self, other: "Grid1D") -> bool:
+        """Whether ``other`` has this grid's cells: the same n, centers within 1e-6 h.
+
+        A grid rebuilt from printed centers matches the grid it was printed from.
+        """
+        return other.n == self.n and np.allclose(
+            other.centers, self.centers, rtol=0, atol=1e-6 * self.h
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,12 +31,11 @@ and a pass that still over- or underflows is redone by log-sum-exp; in
 direct mode f = g = 0. The two agree to near machine precision whenever
 direct arithmetic does not over- or underflow. The loop evaluates a rule of
 :data:`COST_RULES` on the support centers only. When such a rule meets two grids
-of one spacing, K is a Toeplitz matrix, and on large blocks whose kernel
-range FFT round-off can resolve, an FFT kernel convolves instead, in
-O(n log n) time and O(n) memory; a pass that fails its round-off check
-sends the solve back to the dense kernel. A warm start over-relaxes the
-passes at a factor set from the loop's measured rate (:class:`_Relaxation`);
-a cold solve runs plain passes.
+of one spacing, K is a Toeplitz matrix, and on large blocks an FFT kernel
+convolves instead, in O(n log n) time and O(n) memory; a pass that fails
+its round-off check sends the solve back to the dense kernel. A warm start
+over-relaxes the passes at a factor set from the loop's measured rate
+(:class:`_Relaxation`); a cold solve runs plain passes.
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
@@ -173,8 +172,8 @@ def _absdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 #: closed-form cost rules; each maps broadcastable x, y arrays to costs. Each
-#: is a convex function of x - y that is 0 at 0: the FFT gate's range bound
-#: and the monotone reference of gamma_limit.unregularized_ot_1d rely on it
+#: is a convex function of x - y that is 0 at 0: the monotone reference of
+#: gamma_limit.unregularized_ot_1d relies on it
 COST_RULES: dict = {"sqdist": _sqdist, "abs": _absdist}
 
 
@@ -329,6 +328,7 @@ class SolveResult:
             values += state.log_a[:, None]
             values += state.log_b
             np.exp(values, out=values)
+        values.setflags(write=False)  # ProductDensity keeps it without a copy
         try:
             return ProductDensity(*self._grids, values)
         except ValueError:  # exponentials of the right shape: only a non-finite one is refused
@@ -369,8 +369,6 @@ _DENSE_CELLS = 8192 * 8192
 #: FFT has length 1024 from 257 to 512 cells a side. 448 is a tie within the spread
 #: (61 / 66 on a loaded machine), and a tie goes to the dense kernel, the reference
 _FFT_MIN_CELLS = 448 * 448
-#: smallest kernel entry, relative to the largest, that the FFT kernel admits
-_FFT_MIN_RANGE = 1e-12
 #: largest round-off bound of an FFT pass, relative to its smallest denominator
 _FFT_ROUNDOFF = 1e-11
 
@@ -477,16 +475,17 @@ class _ToeplitzKernel:
     pass is a linear convolution of k(d) = exp(-c(d)/gamma) over the
     offsets d = p - q (Solomon et al., "Convolutional Wasserstein
     Distances", SIGGRAPH 2015). It refuses to start unless the hull block
-    is larger than :data:`_FFT_MIN_CELLS`, the cost is a rule, both grids
-    share h and the kernel's dynamic range on the hull block is at least
-    :data:`_FFT_MIN_RANGE`. The spectra of k, of its reverse and of
-    c(d) k(d) are taken once; the mode does not matter. A pass convolves
-    exp(log v - max log v), 0 on the hull cells outside the support, and
-    reads the result on the support cells of the other side. It gives up
-    when a denominator is not finite and positive, or when the round-off
-    bound eps log2(L) |k|_2 |w|_2 of the convolution of length L with the
-    input w exceeds :data:`_FFT_ROUNDOFF` of the smallest one; measured
-    errors stay below 1/20 of that bound.
+    is larger than :data:`_FFT_MIN_CELLS`, the cost is a rule and both
+    grids share h. It convolves k(d) = exp(-(c(d) - min c)/gamma), whose
+    largest entry is 1, and adds -min c/gamma back to every log it
+    returns. The spectra of k, of its reverse and of c(d) k(d) are taken
+    once; the mode does not matter. A pass convolves exp(log v - max log
+    v), 0 on the hull cells outside the support, and reads the result on
+    the support cells of the other side. Its checks are the kernel's only
+    accuracy gate: it gives up when a denominator is not finite and
+    positive, or when the round-off bound eps log2(L) |k|_2 |w|_2 of the
+    convolution of length L with the input w exceeds :data:`_FFT_ROUNDOFF`
+    of the smallest one; measured errors stay below 1/20 of that bound.
     """
 
     name = "fft"
@@ -504,20 +503,14 @@ class _ToeplitzKernel:
         h1, h2 = grids[0].h, grids[1].h
         if h1 != h2:
             raise _Refused(f"the grids' spacings {h1!r} and {h2!r} differ")
-        # the hulls' cell centers: x - y spans [lo, hi] on the hull block, and every rule is
-        # convex in x - y and 0 at 0; a cost beyond the double range makes the spread inf or NaN
         x, y = (g.cell_centers(np.arange(s[0], s[-1] + 1)) for g, s in zip(grids, (si, ti)))
         fn = COST_RULES[c]
-        lo, hi = x[0] - y[-1], x[-1] - y[0]
-        spread = max(fn(lo, 0.0), fn(hi, 0.0)) - fn(min(max(lo, 0.0), hi), 0.0)
-        if not math.exp(-spread / gamma) >= _FFT_MIN_RANGE:
-            raise _Refused(
-                f"the kernel's dynamic range exp(-{spread / gamma:.4g}) on the hull block "
-                f"is below {_FFT_MIN_RANGE:g}"
-            )
         # c at the offsets p - q = -(Q-1) .. P-1: the hull block's first row, then its first column
         c = np.concatenate((fn(x[0], y[:0:-1]), fn(x, y[0])))
-        k = np.exp(c / -gamma)
+        # k = K exp(shift) has a largest entry of 1, as a dense row after its first stabilization
+        lowest = c.min()
+        self._shift = lowest / gamma
+        k = np.exp((c - lowest) / -gamma)
         self._L = L = 1 << (P + Q - 2).bit_length()
         self._eps_k = np.finfo(float).eps * np.log2(L) * np.sqrt(k @ k)
         rfft = np.fft.rfft
@@ -549,12 +542,12 @@ class _ToeplitzKernel:
                 f"{where}: round-off bound {bound:.1e} of the smallest "
                 f"denominator exceeds {_FFT_ROUNDOFF:g}"
             )
-        return np.log(out) + m
+        return np.log(out) + (m - self._shift)
 
     def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
         """sum_ij A_i c_ij K_ij B_j by one convolution with c k."""
         out, m, _ = self._convolve(*self._c, log_b)
-        return float(np.exp(log_a + m) @ out)
+        return float(np.exp(log_a + (m - self._shift)) @ out)
 
 
 def _cost_block(c, grids, masks) -> np.ndarray:
@@ -707,7 +700,7 @@ def _solve(
     smask = mu.density > 0
     tmask = nu.density > 0
     if isinstance(c, ProductDensity):
-        if mu.grid.n != c.grid1.n or nu.grid.n != c.grid2.n:
+        if not (mu.grid.matches(c.grid1) and nu.grid.matches(c.grid2)):
             raise ParameterError("marginals and cost table live on different grids")
     else:
         _rule(c)

@@ -912,6 +912,8 @@ def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypa
         ("coupled:c=0.5:gammas=0.1:bogus", "bad part 'bogus': a coupled schedule takes c=, gammas="),
         ("coupled:gammas=0.1:c=0.5:gammas=0.2", "bad part 'gammas=0.2'"),
         ("coupled:c=1", "a coupled schedule needs gammas="),
+        ("pairs:0.1", "bad pair '0.1', expected gamma:delta"),
+        ("coupled:c=-1:gammas=0.1", "coupling constant must be positive, got -1.0"),
     ],
 )
 def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, capsys, schedule, reason):

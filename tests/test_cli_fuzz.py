@@ -335,8 +335,9 @@ def test_oversized_dense_block_exits_3_before_allocating(tmp_path):
 
 def test_gamma_limit_over_a_budget_exits_3_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "limit.csv"
-    atoms = ["gamma-limit", "--mu", "atoms:0.5:1", "--nu", "atoms:0.5:1", "--quiet", "--out", str(out)]
-    # the second point's 19986 x 19986 support block is over the dense kernel's budget
+    atoms = ["gamma-limit", "--mu", "atoms:0.25:1", "--nu", "atoms:0.75:1", "--quiet", "--out", str(out)]
+    # the second point's 19986 x 19986 support block is over the dense kernel's budget,
+    # and the FFT kernel gives up on it
     argv = [*atoms, "--n", "40000", "--schedule", "pairs:0.1:0.25,0.001:0.25"]
     assert cli.main(argv) == 3
     assert "exceeds the dense kernel's budget" in capsys.readouterr().err

@@ -226,6 +226,31 @@ def test_windows_above_the_fft_crossover_solve_on_the_fft_kernel_as_the_full_gri
     assert window.transport_cost == pytest.approx(full.transport_cost, rel=1e-12)
 
 
+def test_a_kernel_whose_entries_would_be_subnormal_solves_on_the_fft_as_on_the_dense_kernel(monkeypatch):
+    # atoms 1 apart on 640 000 cells: exp(-c/gamma) is subnormal or 0 on the whole hull block,
+    # so the FFT kernel convolves it scaled to a largest entry of 1
+    mu, nu = AtomicMeasure([(0.0, 1.0)]), AtomicMeasure([(1.0, 1.0)])
+    schedule = [(0.00138, 4e-4), (0.00136, 4e-4)]
+    kernels = []
+    point = solver.sweep_point
+
+    def recorded(*args, **kwargs):
+        report, status, beta = point(*args, **kwargs)
+        kernels.append(report.kernel)
+        return report, status, beta
+
+    monkeypatch.setattr(solver, "sweep_point", recorded)
+    fft = gamma_sweep(mu, nu, "sqdist", schedule, fine_domain())
+    monkeypatch.setattr(solver, "_FFT_MIN_CELLS", 1 << 62)
+    dense = gamma_sweep(mu, nu, "sqdist", schedule, fine_domain())
+    assert kernels == ["fft", "fft", "dense", "dense"]
+    for f, d in zip(fft, dense):
+        assert f.status == d.status == "ok"
+        assert f.iterations == d.iterations
+        assert f.regularized_value == pytest.approx(d.regularized_value, rel=1e-12)
+        assert f.primal_value == pytest.approx(d.primal_value, rel=1e-12)
+
+
 def test_smooth_rejects_unresolved_delta():
     ext = extended(n=64)  # h ~ 1/64
     atom = AtomicMeasure([(0.5, 1.0)])
