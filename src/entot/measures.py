@@ -46,15 +46,19 @@ def _off_unit_mass(mass: float) -> bool:
     return not math.isfinite(mass) or abs(mass - 1.0) > MASS_TOL * max(1.0, abs(mass))
 
 
+class _Fresh:
+    """A float array handed over by the package code that built it, which keeps no other reference."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _table(values, grids: Sequence[Grid1D], what: str) -> np.ndarray:
     """A read-only float copy of ``values``, refused unless it is finite with one axis per grid.
 
-    A read-only float array that owns its data is kept as it is: no view of it can write to it.
+    A :class:`_Fresh` array is kept without a copy: nothing else can write to it.
     """
-    owned = type(values) is np.ndarray and values.dtype == np.float64 and (
-        values.flags.owndata and not values.flags.writeable
-    )
-    arr = values if owned else np.array(values, dtype=float, copy=True)
+    arr = values.array if isinstance(values, _Fresh) else np.array(values, dtype=float, copy=True)
     shape = tuple(g.n for g in grids)
     if arr.shape != shape:
         raise ValueError(f"{what} shape {arr.shape} does not match grids {shape}")

@@ -33,9 +33,9 @@ direct arithmetic does not over- or underflow. The loop evaluates a rule of
 :data:`COST_RULES` on the support centers only. When such a rule meets two grids
 of one spacing, K is a Toeplitz matrix, and on large blocks an FFT kernel
 convolves instead, in O(n log n) time and O(n) memory; a pass that fails
-its round-off check sends the solve back to the dense kernel. A warm start
-over-relaxes the passes at a factor set from the loop's measured rate
-(:class:`_Relaxation`); a cold solve runs plain passes.
+its round-off check sends the solve back to the dense kernel. Every solve
+over-relaxes its passes at a factor set from the loop's measured rate
+(:class:`_Relaxation`).
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
@@ -56,7 +56,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .measures import Grid1D, GridMeasure, ProductDensity, _off_unit_mass
+from .measures import Grid1D, GridMeasure, ProductDensity, _Fresh, _off_unit_mass
 
 __all__ = [
     "CostField",
@@ -328,9 +328,8 @@ class SolveResult:
             values += state.log_a[:, None]
             values += state.log_b
             np.exp(values, out=values)
-        values.setflags(write=False)  # ProductDensity keeps it without a copy
         try:
-            return ProductDensity(*self._grids, values)
+            return ProductDensity(*self._grids, _Fresh(values))
         except ValueError:  # exponentials of the right shape: only a non-finite one is refused
             raise ParameterError("the plan's densities leave the floating-point range") from None
 
@@ -570,7 +569,7 @@ _RISE = 100.0
 
 
 class _Relaxation:
-    """The over-relaxation factor omega of a warm-started loop, set from its measured rate.
+    """The over-relaxation factor omega of the scaling loop, set from its measured rate.
 
     Plain scaling converges linearly at a rate theta that tends to 1 as
     gamma falls. Over-relaxed scaling, log a <- log a + omega (log p - row
@@ -586,17 +585,15 @@ class _Relaxation:
     turns the relaxation off for the rest of the solve.
     """
 
-    def __init__(self, on: bool):
-        self.on = on
+    def __init__(self):
+        self.on = True
         self.omega = 1.0
         self._since = 0  # the index of the first residual measured at the current omega
         self._set_at = math.inf
 
     def update(self, residuals: list) -> None:
         """Set omega for the next pass from the residuals so far."""
-        if not self.on:
-            return
-        if residuals[-1] > _RISE * self._set_at:
+        if not self.on or residuals[-1] > _RISE * self._set_at:
             self.on, self.omega = False, 1.0
             return
         r = residuals[max(self._since, len(residuals) - 4):]
@@ -625,11 +622,10 @@ def _relaxed(log_v: np.ndarray, target: np.ndarray, omega: float) -> np.ndarray:
 def _scale(kernel, p, q, tol, max_iter, log_b):
     """Alternate a- and b-passes on cell masses p and q from log B = ``log_b`` until both are within tol.
 
-    A cold start, log B = log h2 on every cell, runs plain passes, which
-    leave the rows exact, and stops once the columns' residual is within
-    tol. A warm start over-relaxes the passes as :class:`_Relaxation`
-    sets; a relaxed a-pass leaves the rows inexact, so the loop then stops
-    once both residuals are. Each iteration opens with the b-update of the
+    The passes are over-relaxed as :class:`_Relaxation` sets. A plain
+    a-pass leaves the rows exact, so the loop stops once the columns'
+    residual is within tol; a relaxed one leaves them inexact, so it then
+    stops once both residuals are. Each iteration opens with the b-update of the
     one before, so the loop stops on the iterate its last residuals
     measured. The loop is deterministic: once its iterate repeats at one
     omega with no absorption in between, every later pass repeats too, so
@@ -642,7 +638,7 @@ def _scale(kernel, p, q, tol, max_iter, log_b):
     log_p = np.log(p)
     log_q = np.log(q)
     residuals: list = []
-    relaxation = _Relaxation(on=np.ptp(log_b) > 0)  # the cold start is constant
+    relaxation = _Relaxation()
     omega, log_a = 1.0, None  # the first pass is plain
     for it in range(1, max_iter + 1):
         if it > 1:
@@ -798,7 +794,7 @@ def solve(
     *,
     beta0: Optional[np.ndarray] = None,
 ) -> SolveResult:
-    """Alternate scaling in direct arithmetic until the marginals match.
+    """Alternate scaling in direct arithmetic, over-relaxed at its measured rate, until the marginals match.
 
     Parameters
     ----------
@@ -811,9 +807,9 @@ def solve(
     gamma : float
         Regularization weight, positive.
     tol : float
-        Stop when the weighted L1 error of the unenforced marginal drops
-        to tol or below (checked after each a-pass); after relaxed passes,
-        when that of either marginal does.
+        Stop when the weighted L1 errors of both marginals are at most
+        tol, checked after each a-pass, which leaves the first exact
+        unless it was relaxed.
     max_iter : int
         Iteration cap; one iteration is one a-pass plus, if the stopping
         rule is not yet met, one b-pass.
@@ -823,10 +819,8 @@ def solve(
         solve at a nearby gamma. The loop then starts from log b =
         beta0 / gamma, shifted so that its maximum is 0, instead of from
         log b = 0: the potential, not log b, carries over between gammas.
-        The passes are then over-relaxed once the loop has measured its
-        rate, and stop when both marginal residuals are within tol. The
-        result meets the same tol, and its values can differ from a cold
-        solve's by about tol.
+        The result meets the same tol, and its values can differ from a
+        cold solve's by about tol.
 
     Returns
     -------

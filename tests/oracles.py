@@ -176,17 +176,20 @@ def sinkhorn_logsumexp(cost, mu, nu, gamma, h1, h2, tol, max_iter=100000):
     """Plain log-domain Sinkhorn, every pass a max-subtracted log-sum-exp.
 
     Starts from b = 1 and stops once the weighted L1 error of the second
-    marginal after an a-pass is at most tol. Returns (plan, iterations).
+    marginal after an a-pass is at most tol. Returns (plan, iterations,
+    residuals), the residuals being that error after each a-pass.
     """
     log_k = -np.asarray(cost, dtype=float) / gamma
     log_b = np.zeros(len(nu))
+    residuals = []
     for it in range(1, max_iter + 1):
         log_a = np.log(mu) - log_sum_exp(log_k + log_b[None, :] + np.log(h2), 1)
         col = log_sum_exp(log_k + log_a[:, None] + np.log(h1), 0)
-        if np.sum(np.abs(np.exp(log_b + col) - nu)) * h2 <= tol:
+        residuals.append(float(np.sum(np.abs(np.exp(log_b + col) - nu)) * h2))
+        if residuals[-1] <= tol:
             break
         log_b = np.log(nu) - col
-    return np.exp(log_a[:, None] + log_k + log_b[None, :]), it
+    return np.exp(log_a[:, None] + log_k + log_b[None, :]), it, residuals
 
 
 class SandwichCheck(NamedTuple):

@@ -406,6 +406,18 @@ def test_sweep_point_matches_solve_on_smoothed_marginals():
     assert point.regularized_value == pytest.approx(cost_part, rel=1e-12)
 
 
+def test_two_atoms_each_solve_within_twenty_thousand_passes():
+    # each smoothed atom is one run of support cells, and mass moves between
+    # runs slowly: plain passes stopped at 20 000 with residual 2.324e-5
+    mu = AtomicMeasure([(0.0, 0.5), (0.3, 0.5)])
+    nu = AtomicMeasure([(0.6, 0.5), (1.0, 0.5)])
+    (point,) = gamma_sweep(mu, nu, "sqdist", [(0.01, 0.02)], extended(n=1000, margin=0.02), max_iter=20000)
+    assert point.status == "ok"
+    assert point.iterations == 10204
+    assert point.regularized_value == pytest.approx(0.4251258399, abs=1e-9)
+    assert point.unregularized_reference == pytest.approx(0.425, rel=1e-12)
+
+
 def test_sweep_entropies_match_neg_entropy_of_smoothed_marginals():
     schedule = [(0.2, 0.2)]
     mu = AtomicMeasure([(0.0, 1.0)])

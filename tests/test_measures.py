@@ -99,6 +99,21 @@ def test_density_array_is_immutable():
         m.density[0] = 2.0
 
 
+def test_a_read_only_array_is_copied_so_an_earlier_view_cannot_change_the_table():
+    g = Grid1D(0.0, 1.0, 4)
+    arr = np.ones(4)
+    view = arr[:]
+    arr.setflags(write=False)
+    m = GridMeasure(g, arr)
+    table = np.ones((4, 4))
+    table_view = table[:]
+    table.setflags(write=False)
+    p = ProductDensity(g, g, table)
+    view[0] = table_view[0, 0] = np.nan
+    assert m.mass == 1.0
+    assert p.mass == 1.0
+
+
 def test_grid_function_mean():
     g = Grid1D(0.0, 2.0, 64)
     f = GridFunction(g, np.full(64, -1.5))

@@ -59,9 +59,9 @@ def test_chained_sweep_agrees_with_cold_solves(tmp_path):
         assert abs(float(row["dual"]) - cold.dual_value) <= 2 * TOL
         assert abs(float(row["r1"]) - cold.optimality_residual[0]) <= TOL
         assert abs(float(row["r2"]) - cold.optimality_residual[1]) <= TOL
-    # the first point starts cold; the chain takes about two thirds of the cold passes
+    # the first point starts cold; the chain took 328 passes against 387 cold
     assert int(rows[0]["iterations"]) == colds[0].iterations
-    assert sum(int(row["iterations"]) for row in rows) < 0.75 * sum(cold.iterations for cold in colds)
+    assert sum(int(row["iterations"]) for row in rows) < 0.9 * sum(cold.iterations for cold in colds)
 
 
 def test_rows_keep_the_given_order_and_a_repeated_gamma_is_solved_once(tmp_path, monkeypatch):
@@ -165,8 +165,8 @@ def _perfbench_problems():
 
 
 def test_sweep_log_workload_keeps_its_warm_start(tmp_path):
-    # the benchmark's sweep-log inputs at seed 0: 763 iterations cold, 541 chained
-    # plain (42, 66, 138 and 295) and 166 over-relaxed
+    # the benchmark's sweep-log inputs at seed 0: 147 iterations solved cold one
+    # by one, 144 chained; with plain passes only, 763 and 541
     problems = _perfbench_problems()
     x, mu, nu = problems.smooth_pair(256, 0)
     paths = str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")
@@ -176,7 +176,7 @@ def test_sweep_log_workload_keeps_its_warm_start(tmp_path):
     code, rows = sweep(tmp_path, paths, "0.1,0.05,0.02,0.01", "--mode", "log")
     assert code == 0
     assert sum(int(row["iterations"]) for row in rows) <= 560
-    assert [int(row["iterations"]) for row in rows] == [42, 29, 40, 55]
+    assert [int(row["iterations"]) for row in rows] == [20, 29, 40, 55]
 
 
 CHAIN = (0.1, 0.01, 0.003, 0.001)
@@ -184,7 +184,7 @@ CHAIN = (0.1, 0.01, 0.003, 0.001)
 
 @pytest.fixture(scope="module")
 def cold_chains():
-    """Per n, the sin/cos pair and its cold plain log-mode solve at each gamma of CHAIN."""
+    """Per n, the sin/cos pair and its cold log-mode solve at each gamma of CHAIN."""
     out = {}
     for n in (64, 256, 512):
         mu, nu = sin_cos_pair(n)
@@ -198,8 +198,8 @@ def test_relaxed_warm_solves_agree_with_cold_plain_solves(cold_chains, n, mode):
     mu, nu, colds = cold_chains[n]
     run = solver.solve_logdomain if mode == "log" else solver.solve
     beta = colds[0].potentials.beta[nu.density > 0]
+    warm_passes = 0
     for gamma, cold in zip(CHAIN[1:], colds[1:]):
-        assert cold.report.relaxation == 1.0
         warm = run(mu, nu, "sqdist", gamma, tol=TOL, beta0=beta)
         rep = warm.report
         assert rep.relaxation > 1.0
@@ -207,8 +207,25 @@ def test_relaxed_warm_solves_agree_with_cold_plain_solves(cold_chains, n, mode):
         # within 2 tol, as test_chained_sweep_agrees_with_cold_solves argues
         assert abs(rep.primal_value - cold.report.primal_value) <= 2 * TOL
         assert abs(rep.dual_value - cold.report.dual_value) <= 2 * TOL
-        assert rep.iterations < cold.report.iterations / 3
+        warm_passes += rep.iterations
         beta = warm.potentials.beta[nu.density > 0]
+    # the cold solves are over-relaxed too: 326 warm passes against 380 cold
+    # at n = 64, 297 against 386 at n = 256 and 512
+    assert warm_passes < 0.9 * sum(cold.report.iterations for cold in colds[1:])
+
+
+def test_a_cold_small_gamma_solve_takes_a_few_hundred_passes():
+    mu, nu = sin_cos_pair(64)
+    h = mu.grid.h
+    cost = solver.cost_field(mu.grid, nu.grid, "sqdist").values
+    plan, iterations, _ = oracles.sinkhorn_logsumexp(cost, mu.density, nu.density, 0.001, h, h, tol=TOL)
+    primal = oracles.primal_objective(plan, cost, 0.001, h, h)
+    assert iterations == 4249  # plain passes, about twenty times the relaxed solve's
+    for run in (solver.solve_logdomain, solver.solve):
+        rep = run(mu, nu, "sqdist", 0.001, tol=TOL).report
+        assert rep.iterations == 216
+        assert rep.relaxation > 1.0
+        assert abs(rep.primal_value - primal) <= 2 * TOL
 
 
 def test_a_relaxed_report_describes_the_returned_iterate(cold_chains):
