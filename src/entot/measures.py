@@ -289,7 +289,8 @@ def _grid_from_centers(x: np.ndarray, what: str) -> Grid1D:
         raise ValueError(f"{what}: cannot infer cell width from a single center")
     steps = np.diff(x)
     h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=1e-12):
+    # each step may be off by the rounding of the centers it spans, which scales with them
+    if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=8 * np.spacing(np.abs(x).max())):
         raise ValueError(f"{what}: cell centers are not uniformly spaced")
     return Grid1D(float(x[0] - h / 2), float(x[-1] + h / 2), x.size)
 

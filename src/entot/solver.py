@@ -280,9 +280,9 @@ class SolveReport:
     there, nonpositive when the paper's two-sided potential bound holds; the
     gauge (sum_i a_i h1 = 1) pins cunder <= 1 <= cbar. Both are read off the
     last a-pass. ``relaxation`` is the over-relaxation factor omega of the
-    last pass, 1.0 for a plain one. A plain a-pass makes the rows exact, so
-    the first residual is rounding; after a relaxed one it is only within
-    tol, and so is the second.
+    last pass, 1.0 for a plain one. Both residuals are measured after every
+    pass, and a converged solve has both within tol: after a plain a-pass
+    the first is rounding, after a relaxed one only within tol.
     """
 
     iterations: int
@@ -563,8 +563,8 @@ _OMEGA_MAX = 1.95
 #: how far apart, relative, three successive residual ratios may be for the rate to count as measured
 _SETTLED = 0.01
 #: how far a relaxed residual may rise over the one at which omega was set before the
-#: relaxation is turned off. A raised omega first lifts the residual, by up to 4.9 times
-#: and for up to 12 passes on the sin/cos pairs of n = 64 to 512 down to gamma = 0.001
+#: loop goes back to plain passes. A raised omega first lifts the residual, by up to 4.9
+#: times and for up to 12 passes on the sin/cos pairs of n = 64 to 512 down to gamma = 0.001
 _RISE = 100.0
 
 
@@ -581,20 +581,22 @@ class _Relaxation:
     itself at omega = 1, else lambda, from which theta = (lambda + omega -
     1)^2 / (lambda omega^2) for lambda above omega - 1. omega is set from
     theta, capped at :data:`_OMEGA_MAX`, when that raises it. A residual
-    more than :data:`_RISE` times the one at which omega was last set
-    turns the relaxation off for the rest of the solve.
+    more than :data:`_RISE` times the one at which omega was last set sends
+    the loop back to plain passes, measured afresh; from then on omega is
+    raised only to below the factor that rose.
     """
 
     def __init__(self):
-        self.on = True
         self.omega = 1.0
+        self._ceiling = math.inf  # the least omega that rose: a later one stays below it
         self._since = 0  # the index of the first residual measured at the current omega
         self._set_at = math.inf
 
     def update(self, residuals: list) -> None:
         """Set omega for the next pass from the residuals so far."""
-        if not self.on or residuals[-1] > _RISE * self._set_at:
-            self.on, self.omega = False, 1.0
+        if residuals[-1] > _RISE * self._set_at:
+            self._ceiling, self.omega = self.omega, 1.0
+            self._since, self._set_at = len(residuals), math.inf
             return
         r = residuals[max(self._since, len(residuals) - 4):]
         if len(r) < 4 or not min(r) > 0:
@@ -604,7 +606,7 @@ class _Relaxation:
         if not (max(ratios) <= (1 + _SETTLED) * min(ratios) and omega - 1 < lam < 1):
             return
         new = _omega((lam + omega - 1) ** 2 / (lam * omega ** 2))
-        if new > omega:
+        if omega < new < self._ceiling:
             self.omega, self._since, self._set_at = new, len(residuals), residuals[-1]
 
 
@@ -622,18 +624,17 @@ def _relaxed(log_v: np.ndarray, target: np.ndarray, omega: float) -> np.ndarray:
 def _scale(kernel, p, q, tol, max_iter, log_b):
     """Alternate a- and b-passes on cell masses p and q from log B = ``log_b`` until both are within tol.
 
-    The passes are over-relaxed as :class:`_Relaxation` sets. A plain
-    a-pass leaves the rows exact, so the loop stops once the columns'
-    residual is within tol; a relaxed one leaves them inexact, so it then
-    stops once both residuals are. Each iteration opens with the b-update of the
-    one before, so the loop stops on the iterate its last residuals
-    measured. The loop is deterministic: once its iterate repeats at one
-    omega with no absorption in between, every later pass repeats too, so
-    it stops there. Only a residual equal to the one before can mark that,
-    so only then are the vectors compared. Returns the column residuals,
-    log A, log B, the last passes' log row denominators, the plan's
-    column masses and the last pass's omega. It runs under the error state
-    of :func:`_solve`.
+    The passes are over-relaxed as :class:`_Relaxation` sets, and every
+    pass measures both marginals' residuals: the loop stops once both are
+    within tol. Each iteration opens with the b-update of the one before, so
+    the loop stops on the iterate its last residuals measured. The loop is
+    deterministic: once its iterate repeats at one omega with no absorption
+    in between, every later pass repeats too, so it stops there. Only a
+    column residual equal to the one before can mark that, so only then are
+    the vectors compared. Returns the column residuals, the last row
+    residual, log A, log B, the last passes' log row denominators, the
+    plan's row and column masses and the last pass's omega. It runs under
+    the error state of :func:`_solve`.
     """
     log_p = np.log(p)
     log_q = np.log(q)
@@ -650,16 +651,15 @@ def _scale(kernel, p, q, tol, max_iter, log_b):
         absorptions = kernel.absorptions  # the count this a-pass's matvec saw
         log_a = _relaxed(log_a, log_p - row, omega)
         col = kernel.denominators(log_a, it, "b")
-        colmass = np.exp(log_b + col)
+        rowmass, colmass = np.exp(log_a + row), np.exp(log_b + col)
+        r1 = float(np.abs(rowmass - p).sum())
         residuals.append(float(np.abs(colmass - q).sum()))
-        r1 = 0.0 if omega == 1.0 else float(np.abs(np.exp(log_a + row) - p).sum())
-        if max(residuals[-1], r1) <= tol or (
+        if (r1 <= tol and residuals[-1] <= tol) or (
             it > 1 and residuals[-1] == residuals[-2] and absorptions == last_absorptions
-            and omega == last_omega and np.array_equal(log_b, last_b)
-            and (omega == 1.0 or np.array_equal(log_a, last_a))
+            and omega == last_omega and np.array_equal(log_a, last_a) and np.array_equal(log_b, last_b)
         ):
             break
-    return residuals, log_a, log_b, row, colmass, omega
+    return residuals, r1, log_a, log_b, row, rowmass, colmass, omega
 
 
 # arithmetic beyond the double range gives inf or NaN, not a warning; a
@@ -717,7 +717,9 @@ def _solve(
     for kind in (_ToeplitzKernel, _DenseKernel):
         try:
             kernel = kind(c, grids, masks, gamma, mode)
-            residuals, log_a, log_b, row, colmass, omega = _scale(kernel, p, q, tol, max_iter, log_b0)
+            residuals, r1, log_a, log_b, row, rowmass, colmass, omega = _scale(
+                kernel, p, q, tol, max_iter, log_b0
+            )
             break
         except _Refused as exc:
             refusals.append(str(exc))
@@ -725,15 +727,11 @@ def _solve(
         *tried, last = refusals
         raise ParameterError(f"{last}, and the FFT kernel cannot run: {'; '.join(tried)}")
 
-    # P = A K B: the cost part is one more matvec
+    # P = A K B: the cost part is one more matvec; the plan's row and column
+    # masses are the ones the last residuals measured
     cost = kernel.cost(log_a, log_b)
-    # the plan's row masses come from the last a-pass; its column masses are
-    # the ones the last residual measured
-    rowmass = np.exp(log_a + row)
     mass = float(rowmass.sum())
-    r1 = float(np.abs(rowmass - p).sum())
-    # log p - log A: row after a plain a-pass, not after a relaxed one
-    lift = row if omega == 1.0 else np.log(p) - log_a
+    lift = np.log(p) - log_a
 
     # gauge: divide A by its sum, so that sum_i a_i h1 = 1, and return to
     # densities (_logsumexp overwrites its argument)
@@ -759,7 +757,7 @@ def _solve(
         gap=primal - dual,
         optimality_residual=(r1, residuals[-1]),
         gauge_constant=gauge_constant,
-        converged=residuals[-1] <= tol and (omega == 1.0 or r1 <= tol),
+        converged=r1 <= tol and residuals[-1] <= tol,
         mode=mode,
         absorptions=kernel.absorptions,
         fallbacks=kernel.fallbacks,
@@ -772,9 +770,8 @@ def _solve(
     if not report.converged:
         # the loop ends early without converging only at a fixed point
         raise ConvergenceError(report, stalled=report.iterations < max_iter)
-    # the residuals are within tol
-    for name, value in (("primal value", primal), ("dual value", dual), ("transport cost", cost),
-                        ("first marginal residual", r1)):
+    # both residuals are within tol, so finite
+    for name, value in (("primal value", primal), ("dual value", dual), ("transport cost", cost)):
         if not math.isfinite(value):
             raise ParameterError(f"the solve's {name} is {value!r}, outside the floating-point range")
     # the state on the full grids: log a = -inf off supp mu, log b = -inf off supp nu
@@ -808,8 +805,7 @@ def solve(
         Regularization weight, positive.
     tol : float
         Stop when the weighted L1 errors of both marginals are at most
-        tol, checked after each a-pass, which leaves the first exact
-        unless it was relaxed.
+        tol, both checked after each iteration.
     max_iter : int
         Iteration cap; one iteration is one a-pass plus, if the stopping
         rule is not yet met, one b-pass.

@@ -168,6 +168,16 @@ def test_measure_csv_roundtrip(tmp_path):
     assert_allclose(read_measure_csv(path).density, m.density, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("lo", [1e4, 3e5, 1e6, 1e7])
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_a_narrow_grid_far_from_the_origin_reads_back(tmp_path, lo, n):
+    # the centers' rounding, a few spacings of lo, exceeds a fixed 1e-12
+    g = Grid1D(lo, lo + 1.0, n)
+    path = tmp_path / "m.csv"
+    write_measure_csv(path, GridMeasure(g, np.ones(n)))
+    assert read_measure_csv(path).grid.matches(g)
+
+
 def test_product_csv_roundtrip_row_major(tmp_path):
     g1 = Grid1D(0.0, 1.0, 3)
     g2 = Grid1D(0.0, 2.0, 5)
@@ -228,12 +238,15 @@ def _csv(tmp_path, text):
          "cannot infer cell width from a single center"),
         (lambda tmp: read_measure_csv(_csv(tmp, "x,density\n0.1,1\n0.2,1\n0.5,1\n")),
          "cell centers are not uniformly spaced"),
+        # steps of 1e-13 and 4e-13, both below a fixed 1e-12
+        (lambda tmp: read_measure_csv(_csv(tmp, "x,density\n0,1\n1e-13,1\n5e-13,1\n6e-13,1\n")),
+         "cell centers are not uniformly spaced"),
         (lambda tmp: read_product_csv(_csv(tmp, "x,y,density\n")), r"t\.csv: no rows"),
         (lambda tmp: read_product_csv(_csv(tmp, "x,y,density\n0.25,0.25,1\n0.25,0.75,1\n0.75,0.25,1\n")),
          "row count 3 is not a multiple of 2 distinct y values"),
     ],
     ids=["grid-end", "wide-cell", "zero-cell", "zero-mass", "no-atom", "one-center", "uneven-centers",
-         "no-product-rows", "ragged-rows"],
+         "tiny-uneven-centers", "no-product-rows", "ragged-rows"],
 )
 def test_every_refusal_of_a_grid_measure_or_table_says_why(tmp_path, make, match):
     with pytest.raises(ValueError, match=match):

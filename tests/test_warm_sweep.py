@@ -266,3 +266,60 @@ def test_an_over_large_omega_falls_back_and_the_point_still_solves(cold_chains, 
     assert max(rep.residual_history[1:]) > 100 * min(rep.residual_history[:4])
     assert max(rep.optimality_residual) <= TOL
     assert abs(rep.primal_value - colds[1].report.primal_value) <= 2 * TOL
+
+
+def test_a_rise_restarts_the_relaxation_below_the_omega_that_rose():
+    relaxation, residuals = solver._Relaxation(), []
+
+    def feed(*values):
+        for value in values:
+            residuals.append(value)
+            relaxation.update(residuals)
+
+    feed(1.0, 0.9, 0.81, 0.729)  # plain rate 0.9
+    risen = relaxation.omega
+    assert risen == solver._omega(0.9) > 1.0
+    feed(100.0)  # more than 100 times the residual at which omega was set
+    assert relaxation.omega == 1.0
+    feed(90.0, 81.0, 72.9, 65.61)  # measured afresh: rate 0.9 again, but not below the omega that rose
+    assert relaxation.omega == 1.0
+    feed(52.488, 41.9904, 33.59232)  # rate 0.8: a smaller omega is taken
+    assert relaxation.omega == solver._omega(0.8) < risen
+
+
+def gaussian_pair(width, n=64):
+    g = Grid1D(0.0, 1.0, n)
+    x = g.centers
+    mu = GridMeasure(g, np.exp(-((x - 0.3) ** 2) / width) + 0.1, renormalize=True)
+    nu = GridMeasure(g, np.exp(-((x - 0.7) ** 2) / width) + 0.1, renormalize=True)
+    return mu, nu
+
+
+@pytest.mark.parametrize("width", [0.02, 0.005])
+def test_an_overshooting_omega_restarts_instead_of_ending_the_relaxation(width):
+    # an early omega raises the residual 100-fold; plain passes from there
+    # on would take 1419 and 1464 passes
+    mu, nu = gaussian_pair(width)
+    h = mu.grid.h
+    cost = solver.cost_field(mu.grid, nu.grid, "sqdist").values
+    plan, _, _ = oracles.sinkhorn_logsumexp(cost, mu.density, nu.density, 0.001, h, h, tol=1e-12)
+    primal = oracles.primal_objective(plan, cost, 0.001, h, h)
+    for run in (solver.solve_logdomain, solver.solve):
+        rep = run(mu, nu, "sqdist", 0.001, tol=TOL).report
+        history = rep.residual_history
+        assert max(history[1:]) > 100 * min(history[:4])
+        assert rep.iterations <= 200  # 113 and 118 measured
+        assert rep.relaxation > 1.0
+        assert abs(rep.primal_value - primal) <= 2 * TOL
+
+
+def test_the_abs_cost_at_small_gamma_restarts_and_converges():
+    # an early omega rises here too; plain passes from there on would take 14 792
+    mu, nu = sin_cos_pair(64)
+    primals = []
+    for run in (solver.solve_logdomain, solver.solve):
+        rep = run(mu, nu, "abs", 0.003, tol=TOL).report
+        assert rep.iterations == 1094
+        assert max(rep.optimality_residual) <= TOL
+        primals.append(rep.primal_value)
+    assert abs(primals[0] - primals[1]) <= 2 * TOL
