@@ -20,31 +20,32 @@ This entropy is that of the cell masses P = pi h1 h2 less log(h1 h2) times
 the mass, so one loop of plain discrete scaling between the supports' cell
 masses p = mu h1 and q = nu h2 serves :func:`solve`, :func:`solve_logdomain`
 and every sweep; the solve converts to and from densities once. The loop
-iterates log A = log a + log h1 and log B = log b + log h2 and asks one
-kernel object, which reads no cell width, for the log denominators of each
-pass. The dense kernel reduces the block by matvecs with the stabilized
+iterates log A = log a + log h1 and log B = log b + log h2, and each pass is
+one function, :func:`_pass`, over a kernel that reads no cell width and keeps
+only its frame (the shifts into and out of the log domain), its product and
+its failure. The dense kernel's product is a matvec with the stabilized
 kernel exp(f (+) g - c/gamma) (Schmitzer, arXiv:1610.06519). In log mode,
 the default everywhere else in the package, f starts at -max_j log K_ij, the
-kernel absorbs log A and log B into f and g after the first a-pass and
-whenever they drift too far, so that its entries are the plan's cell masses,
-and a pass that still over- or underflows is redone by log-sum-exp; in
-direct mode f = g = 0. The two agree to near machine precision whenever
-direct arithmetic does not over- or underflow. The loop evaluates a rule of
-:data:`COST_RULES` on the support centers only. When such a rule meets two grids
-of one spacing, K is a Toeplitz matrix, and on large blocks an FFT kernel
-convolves instead, in O(n log n) time and O(n) memory; a pass that fails
-its round-off check sends the solve back to the dense kernel. Every solve
-over-relaxes its passes at a factor set from the loop's measured rate
-(:class:`_Relaxation`).
+frame absorbs log A and log B into f and g after the first a-pass and
+whenever they drift too far, so that the kernel's entries are the plan's
+cell masses, and the failure redoes a pass that still over- or underflows
+by log-sum-exp; in direct mode f = g = 0. The two agree to near machine
+precision whenever direct arithmetic does not over- or underflow. The loop
+evaluates a rule of :data:`COST_RULES` on the support centers only. When
+such a rule meets two grids of one spacing, K is a Toeplitz matrix, and on
+large blocks an FFT kernel convolves instead, in O(n log n) time and O(n)
+memory; a pass that fails its round-off check sends the solve back to the
+dense kernel. Every solve over-relaxes its passes at a factor set from the
+loop's measured rate (:class:`_Relaxation`).
 
 The report comes from the loop's last passes: since c + gamma log pi =
 gamma (log a + log b) on the block, the primal and dual values, their gap
 and both marginal residuals follow from the plan's row and column sums,
 which those passes' denominators give. The transport cost is one more
-matvec. The solve returns the gauge-normalized dual state on the full grids,
-log a and log b -inf off the supports; when first read, the plan is read off
-it as pi = a (x) b K on the whole product grid, a rule evaluated on every
-center. :func:`primal_value` recomputes the objective of a stored plan.
+product, with c o K. The solve returns the gauge-normalized dual state on the
+full grids, log a and log b -inf off the supports; when first read, the plan
+is read off it as pi = a (x) b K on the whole product grid, a rule evaluated
+on every center. :func:`primal_value` recomputes the objective of a stored plan.
 """
 
 from __future__ import annotations
@@ -235,9 +236,9 @@ def gibbs_kernel(c: ProductDensity, gamma: float) -> GibbsKernel:
 class DualState:
     """Scaling vectors with their exact log-domain shadows.
 
-    Entries are 0 (log shadow -inf) exactly on the cells where the
-    corresponding marginal vanishes; elsewhere strictly positive with
-    exp(log_a) = a to within rounding.
+    The logs are -inf exactly on the cells where the corresponding marginal
+    vanishes, and finite elsewhere, with exp(log_a) = a to within rounding;
+    a and b may under- or overflow to 0 or inf where their logs are finite.
     """
 
     a: np.ndarray
@@ -386,12 +387,12 @@ class _DenseKernel:
     """The stabilized kernel exp(f (+) g - c/gamma) of a support cost block.
 
     It refuses a support block above :data:`_DENSE_CELLS` before it
-    allocates. ``denominators`` returns log row (``side`` "a") or column
-    ("b") denominators, such as log(K @ exp(log B)), by one matvec with
-    the block. In log mode (``absorbing``) f starts at -max_j log K_ij, the
-    kernel absorbs before a pass when due (:meth:`_absorb`), and a pass with
-    non-finite denominators is redone by log-sum-exp. Otherwise f = g = 0
-    and a non-finite denominator raises.
+    allocates. Its frame is g in and f out on rows (``side`` "a", or "c"),
+    f in and g out on columns ("b"); its product, one matvec with the block,
+    its transpose or c o block, leaves the block intact. In log mode
+    (``absorbing``) f starts at -max_j log K_ij, a pass's frame absorbs when
+    due (:meth:`_absorb`), and the failure redoes the pass by log-sum-exp.
+    Otherwise f = g = 0 and the failure raises.
     """
 
     name = "dense"
@@ -421,18 +422,20 @@ class _DenseKernel:
         np.add(K, self.g, out=K)
         np.exp(K, out=K)
 
-    def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
-        if self.absorbing:
+    def frame(self, log_v, side):
+        if self.absorbing and side != "c":
             self._absorb(log_v, side)
-        K, c, f, g = (
-            (self.K, self.c, self.f, self.g) if side == "a" else (self.K.T, self.c.T, self.g, self.f)
-        )
-        log_d = np.log(K @ np.exp(log_v - g)) - f
-        if np.isfinite(log_d).all():
-            return log_d
+        return (self.f, self.g) if side == "b" else (self.g, self.f)
+
+    def product(self, w, it, side):
+        if side == "c":
+            return np.einsum("ij,ij,j->i", self.c, self.K, w)
+        return (self.K.T if side == "b" else self.K) @ w
+
+    def failed(self, log_v, log_d, it, side):
         if self.absorbing:
             self.fallbacks += 1
-            m = c / -self.gamma
+            m = (self.c.T if side == "b" else self.c) / -self.gamma
             m += log_v
             log_d = _logsumexp(m, axis=1)
             if np.isfinite(log_d).all():
@@ -458,13 +461,6 @@ class _DenseKernel:
             self._build()
             self.absorptions += 1
 
-    def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
-        """sum_ij A_i c_ij K_ij B_j by one matvec with c o K, formed in the
-        memory of K: the last call on the kernel. An infinite cost, where K
-        is 0, makes it NaN."""
-        self.K *= self.c
-        return float(np.exp(log_a - self.f) @ (self.K @ np.exp(log_b - self.g)))
-
 
 class _ToeplitzKernel:
     """The kernel of a cost rule on two grids of one spacing, applied by FFT.
@@ -476,15 +472,15 @@ class _ToeplitzKernel:
     Distances", SIGGRAPH 2015). It refuses to start unless the hull block
     is larger than :data:`_FFT_MIN_CELLS`, the cost is a rule and both
     grids share h. It convolves k(d) = exp(-(c(d) - min c)/gamma), whose
-    largest entry is 1, and adds -min c/gamma back to every log it
-    returns. The spectra of k, of its reverse and of c(d) k(d) are taken
-    once; the mode does not matter. A pass convolves exp(log v - max log
-    v), 0 on the hull cells outside the support, and reads the result on
-    the support cells of the other side. Its checks are the kernel's only
-    accuracy gate: it gives up when a denominator is not finite and
-    positive, or when the round-off bound eps log2(L) |k|_2 |w|_2 of the
-    convolution of length L with the input w exceeds :data:`_FFT_ROUNDOFF`
-    of the smallest one; measured errors stay below 1/20 of that bound.
+    largest entry is 1: its frame is m = max log v in and min c/gamma - m
+    out. The spectra of k, of its reverse and of c(d) k(d) are taken once;
+    the mode does not matter. Its product convolves the input, 0 on the hull
+    cells outside the support, and reads the result on the support cells of
+    the other side. Its checks are its only accuracy gate: it gives up when
+    a denominator is not finite and positive (the failure), or when the
+    round-off bound eps log2(L) |k|_2 |w|_2 of the convolution of length L
+    with the input w exceeds :data:`_FFT_ROUNDOFF` of the smallest one (the
+    product); measured errors stay below 1/20 of that bound.
     """
 
     name = "fft"
@@ -522,31 +518,40 @@ class _ToeplitzKernel:
         self._b = (rfft(k[::-1], L), into_b, read_b)
         self._c = (rfft(c * k, L), into_a, read_a)
 
-    def _convolve(self, spectrum, into, read, log_v):
+    def frame(self, log_v, side):
         m = np.max(log_v)
-        w = np.exp(log_v - m)
+        return m, self._shift - m
+
+    def product(self, w, it, side):
+        spectrum, into, read = self._a if side == "a" else self._b if side == "b" else self._c
         buf = np.zeros(self._L)
         buf[into] = w
-        return np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read], m, w
-
-    def denominators(self, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
-        out, m, w = self._convolve(*(self._a if side == "a" else self._b), log_v)
+        out = np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read]
         low = np.min(out)
-        where = f"FFT kernel abandoned at the {side}-pass of iteration {it}"
-        if not (low > 0 and np.all(np.isfinite(out))):
-            raise _Refused(f"{where}: a denominator is not finite and positive")
         bound = self._eps_k * np.sqrt(w @ w) / low
-        if bound > _FFT_ROUNDOFF:
-            raise _Refused(
-                f"{where}: round-off bound {bound:.1e} of the smallest "
-                f"denominator exceeds {_FFT_ROUNDOFF:g}"
-            )
-        return np.log(out) + (m - self._shift)
+        # a denominator that is not positive leaves the pass's log not finite, for the failure
+        if side != "c" and low > 0 and bound > _FFT_ROUNDOFF:
+            raise _Refused(f"FFT kernel abandoned at the {side}-pass of iteration {it}: round-off "
+                           f"bound {bound:.1e} of the smallest denominator exceeds {_FFT_ROUNDOFF:g}")
+        return out
 
-    def cost(self, log_a: np.ndarray, log_b: np.ndarray) -> float:
-        """sum_ij A_i c_ij K_ij B_j by one convolution with c k."""
-        out, m, _ = self._convolve(*self._c, log_b)
-        return float(np.exp(log_a + (m - self._shift)) @ out)
+    def failed(self, log_v, log_d, it, side):
+        raise _Refused(f"FFT kernel abandoned at the {side}-pass of iteration {it}: "
+                       "a denominator is not finite and positive")
+
+
+def _pass(kernel, log_v: np.ndarray, it: int, side: str) -> np.ndarray:
+    """The log row (``side`` "a") or column ("b") denominators of log B or log A = ``log_v``:
+    log(product(exp(log_v - in))) - out in the kernel's frame (in, out), or, not finite, its failure's."""
+    shift_in, shift_out = kernel.frame(log_v, side)
+    log_d = np.log(kernel.product(np.exp(log_v - shift_in), it, side)) - shift_out
+    return log_d if np.isfinite(log_d).all() else kernel.failed(log_v, log_d, it, side)
+
+
+def _transport_cost(kernel, log_a: np.ndarray, log_b: np.ndarray, it: int) -> float:
+    """sum_ij A_i c_ij K_ij B_j by the product with c o K; NaN where an infinite cost meets K = 0."""
+    shift_in, shift_out = kernel.frame(log_b, "c")
+    return float(np.exp(log_a - shift_out) @ kernel.product(np.exp(log_b - shift_in), it, "c"))
 
 
 def _cost_block(c, grids, masks) -> np.ndarray:
@@ -647,10 +652,10 @@ def _scale(kernel, p, q, tol, max_iter, log_b):
             last_a, last_b, last_absorptions, last_omega = log_a, log_b, absorptions, omega
             omega = relaxation.omega
             log_b = _relaxed(log_b, log_q - col, omega)
-        row = kernel.denominators(log_b, it, "a")
-        absorptions = kernel.absorptions  # the count this a-pass's matvec saw
+        row = _pass(kernel, log_b, it, "a")
+        absorptions = kernel.absorptions  # the count this a-pass's product saw
         log_a = _relaxed(log_a, log_p - row, omega)
-        col = kernel.denominators(log_a, it, "b")
+        col = _pass(kernel, log_a, it, "b")
         rowmass, colmass = np.exp(log_a + row), np.exp(log_b + col)
         r1 = float(np.abs(rowmass - p).sum())
         residuals.append(float(np.abs(colmass - q).sum()))
@@ -727,9 +732,9 @@ def _solve(
         *tried, last = refusals
         raise ParameterError(f"{last}, and the FFT kernel cannot run: {'; '.join(tried)}")
 
-    # P = A K B: the cost part is one more matvec; the plan's row and column
+    # P = A K B: the cost part is one more product; the plan's row and column
     # masses are the ones the last residuals measured
-    cost = kernel.cost(log_a, log_b)
+    cost = _transport_cost(kernel, log_a, log_b, len(residuals))
     mass = float(rowmass.sum())
     lift = np.log(p) - log_a
 
@@ -875,23 +880,17 @@ def primal_value(plan: ProductDensity, c: ProductDensity, gamma: float) -> float
 def dual_value(state: DualState, K: GibbsKernel, mu: GridMeasure, nu: GridMeasure) -> float:
     """Discrete dual objective of a scaling pair.
 
-    Evaluates -gamma [ sum a b K w - sum log(a) mu h1 - sum log(b) nu h2 ];
-    cells with vanishing marginal contribute nothing. A zero scaling value
-    on a support cell makes the state dual-infeasible and yields -inf.
+    Evaluates -gamma [ sum a b K w - sum log(a) mu h1 - sum log(b) nu h2 ]
+    from the logs; cells with vanishing marginal contribute nothing. A log
+    scaling value of -inf on a support cell makes the state dual-infeasible
+    and yields -inf; a or b may under- or overflow where its log is finite.
     """
-    smask = mu.density > 0
-    tmask = nu.density > 0
-    if np.any(state.a[smask] == 0) or np.any(state.b[tmask] == 0):
+    smask, tmask = mu.density > 0, nu.density > 0
+    h1, h2 = mu.grid.h, nu.grid.h
+    log_a, log_b = state.log_a[smask], state.log_b[tmask]
+    if np.any(log_a == -np.inf) or np.any(log_b == -np.inf):
         return -np.inf
-    h1 = mu.grid.h
-    h2 = nu.grid.h
-    log_a = state.log_a[smask]
-    log_b = state.log_b[tmask]
-    cross = float(
-        np.sum(np.exp(log_a[:, None] + K.log_values[np.ix_(smask, tmask)] + log_b[None, :]))
-        * h1
-        * h2
-    )
+    cross = float(np.sum(np.exp(log_a[:, None] + K.log_values[np.ix_(smask, tmask)] + log_b)) * h1 * h2)
     term_a = float(np.sum(log_a * mu.density[smask]) * h1)
     term_b = float(np.sum(log_b * nu.density[tmask]) * h2)
     return -K.gamma * (cross - term_a - term_b)

@@ -363,6 +363,10 @@ def test_direct_mode_overflows_at_tiny_gamma():
         assert "log" in str(err.value)
     res = solve_logdomain(mu, nu, c, 1e-4, tol=1e-6, max_iter=200000)
     assert res.report.converged
+    # a underflows and b overflows on support cells where their logs are finite:
+    # the state is still dual-feasible, and its dual is the report's
+    dual = dual_value(res.state, gibbs_kernel(c, 1e-4), mu, nu)
+    assert dual == pytest.approx(res.report.dual_value, rel=1e-12)
 
 
 def test_convergence_error_carries_report():
@@ -577,6 +581,27 @@ def test_fft_round_off_check_trips_on_a_wide_kernel_range(monkeypatch):
     assert dataclasses.replace(res.report, kernel_reason="") == dataclasses.replace(
         ref.report, kernel_reason=""
     )
+
+
+def test_the_transport_cost_leaves_the_dense_kernel_intact():
+    from entot.solver import _DenseKernel, _pass, _transport_cost
+
+    mu, nu = shifted_pair(64, seed=8, holes=True)
+    masks = (mu.density > 0, nu.density > 0)
+    gamma = 0.05
+    kernel = _DenseKernel("sqdist", (mu.grid, nu.grid), masks, gamma, "log")
+    log_p, log_q = np.log(mu.density[masks[0]] * mu.grid.h), np.log(nu.density[masks[1]] * nu.grid.h)
+    log_b = np.zeros(log_q.size)
+    for it in range(1, 4):
+        log_a = log_p - _pass(kernel, log_b, it, "a")
+        log_b = log_q - _pass(kernel, log_a, it, "b")
+    assert kernel.absorptions >= 1
+    K = kernel.K.copy()
+    cost = _transport_cost(kernel, log_a, log_b, 3)
+    assert kernel.K.tobytes() == K.tobytes()
+    # sum_ij A_i c_ij K_ij B_j, read off the unstabilized kernel
+    c = (mu.grid.centers[masks[0]][:, None] - nu.grid.centers[masks[1]]) ** 2
+    assert cost == pytest.approx(np.sum(c * np.exp(log_a[:, None] - c / gamma + log_b)), rel=1e-13)
 
 
 def test_dense_budget_refuses_before_allocating(monkeypatch):
