@@ -11,7 +11,7 @@ check-optimality recompute marginal residuals and objective of a stored plan
 
 A JSON config file (flat keys named after the long flags, underscores for
 dashes) may supply any option; explicit flags win and the origin of every
-value is recorded under "provenance" in JSON outputs. A key that names no
+value is recorded under ``provenance`` in JSON outputs. A key that names no
 option of any subcommand is an invalid parameter, and so is a config key;
 a key of another subcommand's option is ignored, so one file can serve
 several commands.
@@ -133,14 +133,17 @@ def _parse_domain(text) -> Tuple[float, float]:
     return lo, hi
 
 
-#: the keys of each key=value schedule kind besides the required gammas, with their defaults
-_SCHEDULE_DEFAULTS = {"coupled": {"c": 1.0}, "power": {"coeff": 0.01, "exp": 2.0}}
+#: each key=value schedule kind's builder, and its keys besides the required gammas by
+#: the builder's parameter names; a key left out takes the builder's default
+_SCHEDULES = {"coupled": (gl.coupled_schedule, {"c": "c"}),
+              "power": (gl.power_schedule, {"coeff": "coeff", "exp": "exponent"})}
 
 
 def _parse_schedule(text) -> List[Tuple[float, float]]:
     kind, _, body = str(text).partition(":")
-    if kind in _SCHEDULE_DEFAULTS:
-        keys, given = (*_SCHEDULE_DEFAULTS[kind], "gammas"), {}
+    if kind in _SCHEDULES:
+        build, names = _SCHEDULES[kind]
+        keys, given = (*names, "gammas"), {}
         for part in body.split(":"):
             key, eq, value = part.partition("=")
             if not eq or key not in keys or key in given:
@@ -150,12 +153,8 @@ def _parse_schedule(text) -> List[Tuple[float, float]]:
             given[key] = value
         if "gammas" not in given:
             raise ValueError(f"a {kind} schedule needs gammas=")
-        fields = {**_SCHEDULE_DEFAULTS[kind], **given}
-        gammas = _parse_floats(fields["gammas"])
-        if kind == "coupled":
-            schedule = gl.coupled_schedule(gammas, float(fields["c"]))
-        else:
-            schedule = gl.power_schedule(gammas, float(fields["coeff"]), float(fields["exp"]))
+        gammas = _parse_floats(given["gammas"])
+        schedule = build(gammas, **{names[key]: float(given[key]) for key in names if key in given})
     elif kind == "pairs":
         schedule = []
         for chunk in body.split(","):
@@ -426,7 +425,8 @@ def _json_ready(obj):
     return obj
 
 
-def _json_text(obj) -> str:
+def _json_text(cfg: ExperimentConfig, payload: dict) -> str:
+    obj = {**payload, "provenance": cfg.provenance}
     return json.dumps(_json_ready(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -506,9 +506,9 @@ def _match_grids(what: str, table: measures.ProductFunction, mu, nu) -> None:
 _JSON_NAMES = {"residual_history": "residuals", "primal_value": "primal", "dual_value": "dual"}
 
 
-def _report_dict(report: solver.SolveReport, provenance: Dict[str, str]) -> dict:
-    """Every field of ``report``, under its JSON name, and the options' provenance."""
-    return {**{_JSON_NAMES.get(k, k): v for k, v in vars(report).items()}, "provenance": provenance}
+def _report_dict(report: solver.SolveReport) -> dict:
+    """Every field of ``report``, under its JSON name."""
+    return {_JSON_NAMES.get(k, k): v for k, v in vars(report).items()}
 
 
 def _load_problem(o: Dict[str, object]) -> Tuple[
@@ -534,7 +534,7 @@ def _cmd_solve(cfg: ExperimentConfig) -> None:
     except solver.ConvergenceError as exc:
         result, report, failure = None, exc.report, exc
 
-    texts = {"out": _json_text(_report_dict(report, cfg.provenance))}
+    texts = {"out": _json_text(cfg, _report_dict(report))}
     if o["plan"] is not None and result is not None:
         texts["plan"] = measures._product_csv_text(result.plan)
     _emit(o, texts)
@@ -618,16 +618,15 @@ def _cmd_orlicz_norm(cfg: ExperimentConfig) -> None:
         "bracket": list(result.bracket),
         "iterations": result.iterations,
         "young": o["young"],
-        "provenance": cfg.provenance,
     }
-    _emit(o, {"out": _json_text(payload)})
+    _emit(o, {"out": _json_text(cfg, payload)})
     print(repr(result.value))
 
 
 def _cmd_entropy(cfg: ExperimentConfig) -> None:
     o = cfg.options
     value = orlicz.neg_entropy(o["input"])
-    _emit(o, {"out": _json_text({"value": value, "provenance": cfg.provenance})})
+    _emit(o, {"out": _json_text(cfg, {"value": value})})
     print(repr(value))
 
 
@@ -650,9 +649,8 @@ def _cmd_check_optimality(cfg: ExperimentConfig) -> None:
         "primal": primal,
         "within_tol": within,
         "tol": o["tol"],
-        "provenance": cfg.provenance,
     }
-    _emit(o, {"out": _json_text(payload)})
+    _emit(o, {"out": _json_text(cfg, payload)})
     if not o["quiet"]:
         print(f"r1={r1!r} r2={r2!r} primal={primal!r} within_tol={within}")
     if not within:

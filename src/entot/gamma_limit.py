@@ -132,18 +132,19 @@ class ExtendedDomain:
 
 
 def _check_delta(delta: float, ext: ExtendedDomain) -> None:
-    """Raise ParameterError unless delta is positive, finite, within the margin and resolved."""
+    """Raise ParameterError unless delta is positive, finite, resolved and within the margin."""
     if not 0 < delta < math.inf:
         raise ParameterError(f"delta must be positive and finite, got {delta}")
-    # both slacks are relative: 1e-12 of the compared value, at any scale
-    if delta > ext.margin * (1 + 1e-12):
-        raise ParameterError(f"delta = {delta} exceeds the extension margin {ext.margin}")
+    # the resolution first, as a margin far below h extends by no cell; both
+    # slacks are relative: 1e-12 of the compared value, at any scale
     h = ext.extended.h
     if h > delta / MIN_CELLS_PER_DELTA * (1 + 1e-12):
         raise ParameterError(
             f"grid with h = {h} does not resolve delta = {delta}; "
             f"need h <= delta/{MIN_CELLS_PER_DELTA}"
         )
+    if delta > ext.margin * (1 + 1e-12):
+        raise ParameterError(f"delta = {delta} exceeds the extension margin {ext.margin}")
 
 
 def _check_atoms(m: AtomicMeasure, ext: ExtendedDomain) -> None:

@@ -157,8 +157,7 @@ def sweep_point(
         if beta0 is not None:
             return sweep_point(mu, nu, c, gamma, tol, max_iter, mode)
         return (exc.report if isinstance(exc, ConvergenceError) else None), f"failed: {exc}", None
-    with np.errstate(over="ignore"):
-        beta = gamma * result.state.log_b[nu.density > 0]
+    beta = result.potentials.beta[nu.density > 0]
     return result.report, "ok", beta if np.isfinite(beta).all() else None
 
 
@@ -527,10 +526,12 @@ class _ToeplitzKernel:
         buf = np.zeros(self._L)
         buf[into] = w
         out = np.fft.irfft(np.fft.rfft(buf) * spectrum, self._L)[read]
+        if side == "c":  # the transport cost is no denominator
+            return out
         low = np.min(out)
         bound = self._eps_k * np.sqrt(w @ w) / low
         # a denominator that is not positive leaves the pass's log not finite, for the failure
-        if side != "c" and low > 0 and bound > _FFT_ROUNDOFF:
+        if low > 0 and bound > _FFT_ROUNDOFF:
             raise _Refused(f"FFT kernel abandoned at the {side}-pass of iteration {it}: round-off "
                            f"bound {bound:.1e} of the smallest denominator exceeds {_FFT_ROUNDOFF:g}")
         return out
@@ -687,8 +688,8 @@ def _solve(
     gate: a kernel that cannot start, or gives up on a pass, raises
     :class:`_Refused`, and the next one starts afresh. ``kernel_reason``
     lists the refusals in the order the kernels were tried; if every kernel
-    refuses, the solve is a ParameterError. The loop starts from log b = 0,
-    or from ``beta0`` / gamma shifted to a maximum of 0, plus log h2.
+    refuses, the solve is a ParameterError. The loop starts from log b =
+    ``beta0`` / gamma, beta0 = 0 if cold, shifted to a maximum of 0, plus log h2.
     """
     _check_probability(mu, "mu")
     _check_probability(nu, "nu")
@@ -708,14 +709,11 @@ def _solve(
     log_h1, log_h2 = np.log(mu.grid.h), np.log(nu.grid.h)
     p = mu.density[smask] * mu.grid.h
     q = nu.density[tmask] * nu.grid.h
-    if beta0 is None:
-        log_b0 = np.full(q.shape, log_h2)
-    else:
-        beta0 = np.asarray(beta0, dtype=float)
-        if beta0.shape != q.shape or not np.all(np.isfinite(beta0)):
-            raise ParameterError(f"beta0 must hold {q.size} finite values, one per cell of supp nu")
-        # the shift is a gauge choice: it keeps exp(log b) <= 1 in direct mode
-        log_b0 = (beta0 - beta0.max()) / gamma + log_h2
+    beta0 = np.zeros(q.shape) if beta0 is None else np.asarray(beta0, dtype=float)
+    if beta0.shape != q.shape or not np.all(np.isfinite(beta0)):
+        raise ParameterError(f"beta0 must hold {q.size} finite values, one per cell of supp nu")
+    # the shift is a gauge choice: it keeps exp(log b) <= 1 in direct mode
+    log_b0 = (beta0 - beta0.max()) / gamma + log_h2
 
     grids, masks = (mu.grid, nu.grid), (smask, tmask)
     refusals = []
@@ -921,8 +919,10 @@ def optimality_residual(
 def potentials_from_state(state: DualState, gamma: float) -> Potentials:
     """Back-substitute potentials alpha = gamma log a, beta = gamma log b.
 
-    Support cells carry finite values, null cells the -inf sentinel.
+    Null cells carry the -inf sentinel; support cells carry finite values, or,
+    with no warning, +-inf where a huge gamma takes them out of the double range.
     """
-    alpha = gamma * state.log_a
-    beta = gamma * state.log_b
+    with np.errstate(over="ignore"):
+        alpha = gamma * state.log_a
+        beta = gamma * state.log_b
     return Potentials(alpha, beta)

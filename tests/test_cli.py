@@ -11,6 +11,7 @@ import pytest
 
 import entot
 from entot import cli, measures, solver
+from entot import gamma_limit as gl
 from entot.measures import (
     AtomicMeasure,
     Grid1D,
@@ -224,6 +225,25 @@ def test_solve_json_is_the_report(tmp_path, monkeypatch, marginal_files):
     assert "transport_cost" in fields and set(written) == {*fields, "provenance"}
     for key, value in fields.items():
         assert written[key] == (list(value) if isinstance(value, tuple) else value), key
+
+
+@pytest.mark.parametrize("command", ["solve", "orlicz-norm", "entropy", "check-optimality"])
+def test_every_json_output_carries_the_provenance_of_every_option(tmp_path, marginal_files, command):
+    mu, nu = marginal_files
+    plan = str(tmp_path / "plan.csv")
+    solve = ["solve", "--mu", mu, "--nu", nu, "--gamma", "0.2", "--quiet"]
+    assert run([*solve, "--plan", plan, "--out", str(tmp_path / "first.json")]) == 0
+    args = {
+        "solve": solve[1:],
+        "orlicz-norm": ["--input", mu],
+        "entropy": ["--input", mu],
+        "check-optimality": [*solve[1:], "--plan", plan],
+    }[command]
+    out = tmp_path / "out.json"
+    assert run([command, *args, "--out", str(out)]) == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    assert set(provenance) == {*cli._SHARED, *cli._COMMANDS[command].defaults}
+    assert provenance["out"] == "flag" and provenance["out_dir"] == "default"
 
 
 def _refuse_constant(name):
@@ -735,6 +755,25 @@ def test_gamma_limit_pairs_and_power_schedules():
         cli._parse_schedule("geometric:0.5")
 
 
+def test_a_schedule_key_left_out_takes_the_builders_default():
+    gammas = [0.2, 0.1, 0.05]
+    assert cli._parse_schedule("power:gammas=0.2,0.1,0.05") == gl.power_schedule(gammas)
+    assert cli._parse_schedule("coupled:gammas=0.2,0.1,0.05") == gl.coupled_schedule(gammas)
+
+
+@pytest.mark.parametrize("delta", ["1e-13", "1e-300"])
+def test_a_delta_far_below_the_cell_width_is_unresolved(tmp_path, monkeypatch, capsys, delta):
+    # a delta below about 1e-12 h extends the grid by no cell, a margin of 0
+    monkeypatch.chdir(tmp_path)
+    argv = ["gamma-limit", "--mu", "atoms:0:1", "--nu", "atoms:1:1",
+            "--schedule", f"pairs:0.1:{delta}", "--n", "64", "--quiet"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: grid with h = 0.015625 does not resolve delta = {delta}; need h <= delta/4\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atoms_parsing_errors():
     with pytest.raises(ValueError):
         cli._parse_atoms("0.5:1.0")
@@ -914,6 +953,9 @@ def test_empty_output_path_is_parameter_error(tmp_path, marginal_files, monkeypa
         ("coupled:c=1", "a coupled schedule needs gammas="),
         ("pairs:0.1", "bad pair '0.1', expected gamma:delta"),
         ("coupled:c=-1:gammas=0.1", "coupling constant must be positive, got -1.0"),
+        # the given keys are read gammas first, then in the builder's order
+        ("power:exp=zz:coeff=yy:gammas=xx", "could not convert string to float: 'xx'"),
+        ("power:exp=zz:coeff=yy:gammas=0.1", "could not convert string to float: 'yy'"),
     ],
 )
 def test_schedule_refusals_are_reported_with_the_other_violations(tmp_path, capsys, schedule, reason):

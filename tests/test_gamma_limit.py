@@ -43,9 +43,7 @@ def test_mollifier_pointwise_values():
 
 def test_mollifier_continuous_unit_mass():
     m = Mollifier(0.2)
-    integral = oracles.midpoint_quadrature(
-        lambda x: np.array([m(v) for v in x]), -0.2, 0.2, 200_001
-    )
+    integral = oracles.midpoint_quadrature(m, -0.2, 0.2, 200_001)
     assert integral == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -662,6 +663,34 @@ def test_an_ok_point_whose_potential_leaves_the_double_range_warm_starts_nothing
     mu, nu = GridMeasure(g, np.ones(32), renormalize=True), GridMeasure(g, d, renormalize=True)
     report, status, beta = sweep_point(mu, nu, "sqdist", 1e308, 1e-9, 1000, "log")
     assert status == "ok" and np.isfinite(report.primal_value) and beta is None
+
+
+def test_the_potentials_of_a_state_beyond_the_double_range_are_inf_without_a_warning():
+    # the state of the point above: log b is finite, gamma log b overflows where nu is 1e-3
+    g = Grid1D(0.0, 1.0, 32)
+    d = np.ones(32)
+    d[5] = 1e-3
+    mu, nu = GridMeasure(g, np.ones(32), renormalize=True), GridMeasure(g, d, renormalize=True)
+    res = solve_logdomain(mu, nu, "sqdist", 1e308, max_iter=1000)
+    assert np.isfinite(res.state.log_b).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = res.potentials.beta
+    assert np.isinf(beta[5]) and np.isfinite(np.delete(beta, 5)).all()
+
+
+@pytest.mark.parametrize("fft", [False, True])
+@pytest.mark.parametrize("run", [solve, solve_logdomain])
+def test_a_cold_solve_is_the_solve_from_a_zero_potential(monkeypatch, run, fft):
+    monkeypatch.setattr("entot.solver._FFT_MIN_CELLS", 0 if fft else 1 << 40)
+    mu, nu = shifted_pair(64, seed=7, holes=True)
+    cold = run(mu, nu, "sqdist", 0.05)
+    zero = run(mu, nu, "sqdist", 0.05, beta0=np.zeros(np.count_nonzero(nu.density)))
+    assert cold.report.kernel == zero.report.kernel == ("fft" if fft else "dense")
+    # repr writes every float exactly, and tells -0.0 from 0.0
+    assert repr(zero.report) == repr(cold.report)
+    for name in ("a", "b", "log_a", "log_b"):
+        assert getattr(zero.state, name).tobytes() == getattr(cold.state, name).tobytes(), name
 
 
 def test_an_unknown_mode_is_refused_before_any_solve(monkeypatch):
